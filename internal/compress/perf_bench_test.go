@@ -66,3 +66,19 @@ func BenchmarkSizeWithBDI(b *testing.B) {
 		SizeWith(AlgBDI, lines[i%len(lines)])
 	}
 }
+
+// BenchmarkSizeTableHit measures a memoized size-table lookup, the path
+// every simulation of an already-sized data image takes.
+func BenchmarkSizeTableHit(b *testing.B) {
+	lines := benchCorpus(512)
+	tbl := NewSizeTable(uint64(len(lines)), func(line uint64, buf []byte) { copy(buf, lines[line]) })
+	var buf [LineSize]byte
+	for i := range lines {
+		tbl.Single(AlgNone, uint64(i), buf[:])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbl.Single(AlgNone, uint64(i%len(lines)), buf[:])
+	}
+}

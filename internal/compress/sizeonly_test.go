@@ -140,72 +140,3 @@ func TestSizeChoiceMatchesCompressBest(t *testing.T) {
 		}
 	}
 }
-
-// TestSizeCacheMatchesDirect runs every memoized sizer against its
-// direct counterpart across the corpus, repeated so the second pass is
-// all cache hits, and checks the counters add up.
-func TestSizeCacheMatchesDirect(t *testing.T) {
-	lines := sizeCorpus(t)
-	c := NewSizeCache(1 << 14)
-	for pass := 0; pass < 2; pass++ {
-		for i, l := range lines {
-			if got, want := c.Single(l), CompressedSize(l); got != want {
-				t.Fatalf("pass %d line %d: memo Single=%d, direct=%d", pass, i, got, want)
-			}
-			for _, alg := range []AlgID{AlgFPC, AlgBDI} {
-				if got, want := c.SingleWith(alg, l), SizeWith(alg, l); got != want {
-					t.Fatalf("pass %d line %d: memo SingleWith(%v)=%d, direct=%d", pass, i, alg, got, want)
-				}
-			}
-			if i+1 < len(lines) {
-				a, b := l, lines[i+1]
-				if got, want := c.Pair(a, b), PairSize(a, b); got != want {
-					t.Fatalf("pass %d pair %d: memo Pair=%d, direct=%d", pass, i, got, want)
-				}
-				if got, want := c.PairWith(AlgBDI, a, b), PairSizeWith(AlgBDI, a, b); got != want {
-					t.Fatalf("pass %d pair %d: memo PairWith(BDI)=%d, direct=%d", pass, i, got, want)
-				}
-			}
-		}
-	}
-	st := c.Stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("expected both hits and misses, got %+v", st)
-	}
-}
-
-// TestSizeCacheBounded fills a tiny cache far past capacity and checks
-// occupancy stays bounded, evictions are counted, and results remain
-// correct under churn.
-func TestSizeCacheBounded(t *testing.T) {
-	c := NewSizeCache(64)
-	lines := sizeCorpus(t)
-	for _, l := range lines {
-		if got, want := c.Single(l), CompressedSize(l); got != want {
-			t.Fatalf("churn: memo=%d, direct=%d", got, want)
-		}
-	}
-	if n := c.Len(); n > 64 {
-		t.Fatalf("cache holds %d entries, capacity 64", n)
-	}
-	if c.Stats().Evictions == 0 {
-		t.Fatalf("expected evictions under churn, got %+v", c.Stats())
-	}
-}
-
-// TestHashLineDeterministic pins the content hash: it must be a pure
-// function of the bytes (no per-process seed) so cached runs reproduce.
-func TestHashLineDeterministic(t *testing.T) {
-	l := make([]byte, LineSize)
-	for i := range l {
-		l[i] = byte(i * 7)
-	}
-	h1, h2 := hashLine(l), hashLine(l)
-	if h1 != h2 {
-		t.Fatalf("hashLine not deterministic: %x vs %x", h1, h2)
-	}
-	l[63] ^= 1
-	if hashLine(l) == h1 {
-		t.Fatalf("hashLine ignored a byte flip")
-	}
-}

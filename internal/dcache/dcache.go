@@ -74,14 +74,17 @@ type DataSource interface {
 	Line(line uint64) []byte
 }
 
-// Filler is an optional DataSource extension: FillLine writes the line's
-// 64 bytes into buf and returns true, or returns false for an unknown
-// (incompressible) line. Sources that implement it let the cache size
-// lines through reusable scratch buffers instead of allocating a fresh
-// slice per Line call — the sizing hot path holds the bytes only for
-// the duration of the size computation.
-type Filler interface {
-	FillLine(line uint64, buf []byte) bool
+// SizeSource is an optional DataSource extension that resolves sizes
+// without handing the cache any bytes: SingleSize returns a line's
+// exact compressed size (0..64) and PairSize the exact size of an even
+// line compressed together with its odd buddy (0..128). The source
+// chooses the compression algorithm. A DataSource without it is sized
+// with the hybrid FPC+BDI compressor over Line. Either way the cache's
+// per-address memo sits in front, so each line is asked about at most
+// once per cache.
+type SizeSource interface {
+	SingleSize(line uint64) int
+	PairSize(evenLine uint64) int
 }
 
 // DefaultThreshold is the DICE insertion threshold (Section 5.2): lines
@@ -105,19 +108,13 @@ type Config struct {
 	CIPEntries int
 	// Mem is the stacked-DRAM device timing model behind the cache.
 	Mem *dram.Memory
-	// Data resolves line contents for compression. Required for
-	// compressed policies.
+	// Data resolves line contents for compression (and, when it is a
+	// SizeSource, their sizes). Required for compressed policies.
 	Data DataSource
-	// SingleSizer and PairSizer override the compressed-size functions
-	// (hybrid FPC+BDI by default). Used by the compression-algorithm
-	// ablation; both must be set together or neither.
-	SingleSizer func(line []byte) int
-	PairSizer   func(even, odd []byte) int
 	// VerifyData makes the cache store each installed line's actual
-	// encoding and, on every hit, decompress it and compare with the data
-	// source — exercising the real codec path end to end. Costs memory
-	// and time; intended for tests and debugging. Incompatible with
-	// custom sizers.
+	// hybrid encoding and, on every hit, decompress it and compare with
+	// the data source — exercising the real codec path end to end. Costs
+	// memory and time; intended for tests and debugging.
 	VerifyData bool
 	// Faults, when non-nil, injects bit errors into every demand-read
 	// frame transfer and applies the model's ECC policy: detected-
@@ -143,10 +140,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("dcache: compressed policy %v requires a DataSource", c.Policy)
 	case c.Threshold > 64:
 		return fmt.Errorf("dcache: Threshold %d > 64", c.Threshold)
-	case (c.SingleSizer == nil) != (c.PairSizer == nil):
-		return fmt.Errorf("dcache: SingleSizer and PairSizer must be set together")
-	case c.VerifyData && c.SingleSizer != nil:
-		return fmt.Errorf("dcache: VerifyData requires the default hybrid sizers")
 	}
 	return nil
 }
@@ -240,18 +233,18 @@ type Cache struct {
 	stats     Stats
 
 	// sizeMemo caches single/pair compressed sizes per line address; data
-	// is deterministic per line so the memo never invalidates.
+	// is deterministic per line so the memo never invalidates. sizes
+	// answers its misses.
 	sizeMemo sizeMemo
-	// sizeCache deduplicates hybrid size computations by line *content*
-	// (distinct addresses frequently carry identical bytes — every
-	// all-zero line, page-coherent kinds). Consulted only on sizeMemo
-	// misses with the default sizers.
-	sizeCache *compress.SizeCache
-	// filler is cfg.Data's scratch-buffer interface when implemented;
-	// scratchA/B are the reused line buffers.
-	filler   Filler
-	scratchA [compress.LineSize]byte
-	scratchB [compress.LineSize]byte
+	sizes    SizeSource
+	// resident counts the lines held across all sets; every membership
+	// change (install, eviction, duplicate or checksum drop, set flush)
+	// adjusts it.
+	resident int
+	// encodings holds each resident line's stored encoding in verify
+	// mode (nil otherwise), kept off the set entries so they hold no
+	// pointers.
+	encodings map[uint64]compress.Encoding
 
 	// faultCount tracks detected-uncorrectable faults per set and
 	// quarantined marks sets demoted to uncompressed single-line storage
@@ -288,11 +281,13 @@ func New(cfg Config) *Cache {
 		base := i * entryArenaCap
 		c.sets[i].entries = arena[base : base : base+entryArenaCap]
 	}
-	if cfg.Policy != PolicyUncompressed && cfg.SingleSizer == nil {
-		c.sizeCache = compress.NewSizeCache(0)
+	if src, ok := cfg.Data.(SizeSource); ok {
+		c.sizes = src
+	} else if cfg.Data != nil {
+		c.sizes = hybridSizes{cfg.Data}
 	}
-	if f, ok := cfg.Data.(Filler); ok {
-		c.filler = f
+	if cfg.VerifyData && cfg.Policy != PolicyUncompressed {
+		c.encodings = make(map[uint64]compress.Encoding)
 	}
 	if cfg.Faults != nil {
 		c.faultCount = make(map[uint64]uint8)
@@ -379,9 +374,18 @@ func (c *Cache) flushSet(setIdx uint64) (lines, dirty int) {
 			dirty++
 			c.stats.FaultDirtyLoss++
 		}
+		c.dropped(s.entries[i].line)
 	}
 	s.entries = nil
 	return lines, dirty
+}
+
+// dropped records that line has left the cache.
+func (c *Cache) dropped(line uint64) {
+	c.resident--
+	if c.encodings != nil {
+		delete(c.encodings, line)
+	}
 }
 
 // noteFrameFault records a detected-uncorrectable fault against a set
@@ -433,17 +437,16 @@ func schemeLabel(bai bool) string {
 
 // --- compressed-size resolution (memoized) ---
 
-// lineData resolves a line's bytes for sizing, preferring the source's
-// scratch-buffer path. The returned slice is only valid until the next
-// lineData call with the same buf.
-func (c *Cache) lineData(line uint64, buf []byte) []byte {
-	if c.filler != nil {
-		if c.filler.FillLine(line, buf) {
-			return buf
-		}
-		return nil
-	}
-	return c.cfg.Data.Line(line)
+// hybridSizes sizes a plain DataSource's lines with the hybrid
+// compressor; nil data is incompressible.
+type hybridSizes struct{ DataSource }
+
+func (h hybridSizes) SingleSize(line uint64) int {
+	return compressedSizeOf(h.Line(line))
+}
+
+func (h hybridSizes) PairSize(evenLine uint64) int {
+	return pairCompressedSizeOf(h.Line(evenLine), h.Line(evenLine|1))
 }
 
 func (c *Cache) singleSize(line uint64) int {
@@ -456,16 +459,7 @@ func (c *Cache) singleSize(line uint64) int {
 		return int(cell.single) - 1
 	}
 	c.stats.SizeMemoMisses++
-	data := c.lineData(line, c.scratchA[:])
-	var sz int
-	switch {
-	case data == nil:
-		sz = 64
-	case c.cfg.SingleSizer != nil:
-		sz = c.cfg.SingleSizer(data)
-	default:
-		sz = c.sizeCache.Single(data)
-	}
+	sz := c.sizes.SingleSize(line)
 	cell.single = uint8(sz) + 1
 	return sz
 }
@@ -477,31 +471,12 @@ func (c *Cache) pairSize(evenLine uint64) int {
 		return (int(cell.pair) - 1) * 2
 	}
 	c.stats.SizeMemoMisses++
-	even := c.lineData(evenLine, c.scratchA[:])
-	odd := c.lineData(evenLine|1, c.scratchB[:])
-	var sz int
-	switch {
-	case even == nil || odd == nil:
-		sz = 128
-	case c.cfg.PairSizer != nil:
-		sz = c.cfg.PairSizer(even, odd)
-	default:
-		sz = c.sizeCache.Pair(even, odd)
-	}
+	sz := c.sizes.PairSize(evenLine)
 	// Pair sizes span 0..128; store /2 rounded up to fit a byte
 	// losslessly enough (sizes are even in practice; odd sizes round
 	// up by one byte, which only ever under-packs, never over-packs).
 	cell.pair = uint8((sz+1)/2) + 1
 	return (int(cell.pair) - 1) * 2
-}
-
-// SizeCacheStats returns the content-keyed size cache's counters (zero
-// when the cache runs uncompressed or with custom sizers).
-func (c *Cache) SizeCacheStats() compress.SizeCacheStats {
-	if c.sizeCache == nil {
-		return compress.SizeCacheStats{}
-	}
-	return c.sizeCache.Stats()
 }
 
 // schemeFor returns the indexing scheme the policy uses for installs of a
@@ -698,6 +673,7 @@ func (c *Cache) finishRead(done uint64, setIdx uint64, line uint64, usedBAI bool
 			c.cfg.Trace.Emitf(done, obs.CompFault, "checksum-caught",
 				"set %d line %#x: corrupt encoding dropped, refetching", setIdx, line)
 			e := s.remove(i)
+			c.dropped(e.line)
 			s.repack(c)
 			if e.dirty {
 				c.stats.FaultDirtyLoss++
@@ -708,8 +684,8 @@ func (c *Cache) finishRead(done uint64, setIdx uint64, line uint64, usedBAI bool
 	}
 	s.touch(i)
 	c.stats.ReadHits++
-	if c.cfg.VerifyData {
-		c.verifyEntry(&s.entries[0])
+	if c.encodings != nil {
+		c.verifyLine(line)
 	}
 	res := ReadResult{Done: done, Hit: true, UsedBAI: usedBAI}
 	if c.spatialPolicy() {
@@ -723,15 +699,17 @@ func (c *Cache) finishRead(done uint64, setIdx uint64, line uint64, usedBAI bool
 	return res
 }
 
-// verifyEntry decompresses a stored encoding and checks it against the
-// data source (verify mode): the full codec path runs on every hit.
-func (c *Cache) verifyEntry(e *entry) {
-	if e.enc == nil {
+// verifyLine decompresses a resident line's stored encoding and checks
+// it against the data source (verify mode): the full codec path runs on
+// every hit.
+func (c *Cache) verifyLine(line uint64) {
+	enc, ok := c.encodings[line]
+	if !ok {
 		return
 	}
 	c.stats.VerifyChecks++
-	want := c.cfg.Data.Line(e.line)
-	got, err := compress.DecompressChecked(*e.enc)
+	want := c.cfg.Data.Line(line)
+	got, err := compress.DecompressChecked(enc)
 	if err != nil || want == nil || len(got) != len(want) {
 		c.stats.VerifyFailures++
 		return
@@ -858,6 +836,7 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 		}
 		if i := c.sets[alt].find(line); i >= 0 {
 			e := c.sets[alt].remove(i)
+			c.dropped(e.line)
 			c.sets[alt].repack(c)
 			if e.dirty {
 				victims = append(victims, Victim{Line: e.line, Dirty: true})
@@ -874,14 +853,13 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 	} else {
 		s.entries = append(s.entries, entry{})
 		copy(s.entries[1:], s.entries)
-		e := entry{line: line, dirty: dirty, bai: usedBAI}
-		if c.cfg.VerifyData && c.cfg.Policy != PolicyUncompressed {
+		s.entries[0] = entry{line: line, dirty: dirty, bai: usedBAI}
+		c.resident++
+		if c.encodings != nil {
 			if data := c.cfg.Data.Line(line); data != nil {
-				enc := compress.CompressBest(data)
-				e.enc = &enc
+				c.encodings[line] = compress.CompressBest(data)
 			}
 		}
-		s.entries[0] = e
 		c.stats.InstallSizeBuckets[(c.singleSize(line)+7)/8]++
 	}
 	s.repack(c)
@@ -890,6 +868,7 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 		if !ok {
 			panic("dcache: single line exceeds set frame")
 		}
+		c.dropped(v.line)
 		c.stats.Evictions++
 		if v.dirty {
 			c.stats.DirtyEvictions++
@@ -904,6 +883,7 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 	if len(c.quarantined) > 0 && c.quarantined[setIdx] {
 		for s.lineCount() > 1 {
 			v, _ := s.evictLRU(0)
+			c.dropped(v.line)
 			c.stats.Evictions++
 			if v.dirty {
 				c.stats.DirtyEvictions++
@@ -933,13 +913,7 @@ func (c *Cache) Contains(line uint64) bool {
 // OccupiedLines counts resident logical lines; the ratio to Sets is the
 // effective capacity multiplier of Table 5 (the uncompressed cache holds
 // exactly one line per set when warm).
-func (c *Cache) OccupiedLines() int {
-	n := 0
-	for i := range c.sets {
-		n += c.sets[i].lineCount()
-	}
-	return n
-}
+func (c *Cache) OccupiedLines() int { return c.resident }
 
 // EffectiveCapacity returns occupied lines / sets.
 func (c *Cache) EffectiveCapacity() float64 {

@@ -653,33 +653,6 @@ func TestVerifyDataModeRoundTripsOnHits(t *testing.T) {
 	}
 }
 
-func TestVerifyDataConfigValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("VerifyData with custom sizers accepted")
-		}
-	}()
-	New(Config{
-		Sets: 16, Policy: PolicyDICE, VerifyData: true,
-		Mem: dram.New(dram.HBMConfig()), Data: newTestData(),
-		SingleSizer: func([]byte) int { return 64 },
-		PairSizer:   func(a, b []byte) int { return 128 },
-	})
-}
-
-func TestSizerPairValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("lone SingleSizer accepted")
-		}
-	}()
-	New(Config{
-		Sets: 16, Policy: PolicyDICE,
-		Mem: dram.New(dram.HBMConfig()), Data: newTestData(),
-		SingleSizer: func([]byte) int { return 64 },
-	})
-}
-
 func TestWritePredictionAccuracy(t *testing.T) {
 	data := newTestData()
 	// Page-stable compressibility: the write predictor (compressibility

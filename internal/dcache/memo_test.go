@@ -8,20 +8,35 @@ import (
 	"dice/internal/dram"
 )
 
-// synthSource adapts data.Synth to DataSource (Line only, no Filler),
-// like the simulator's machine before the scratch-buffer path existed.
+// synthSource adapts data.Synth to a plain DataSource (Line only), which
+// the cache sizes with the hybrid compressor over Line.
 type synthSource struct{ s *data.Synth }
 
 func (ss *synthSource) Line(line uint64) []byte { return ss.s.Line(line) }
 
-// fillSource additionally implements Filler, exercising the
-// scratch-buffer path.
-type fillSource struct{ s *data.Synth }
+// fillSource is additionally a SizeSource: it sizes lines under alg
+// (AlgNone: the hybrid) through reused scratch buffers, as the
+// simulator's size tables do, and counts the questions it is asked.
+type fillSource struct {
+	s     *data.Synth
+	alg   compress.AlgID
+	a, b  [compress.LineSize]byte
+	calls int
+}
 
 func (fs *fillSource) Line(line uint64) []byte { return fs.s.Line(line) }
-func (fs *fillSource) FillLine(line uint64, buf []byte) bool {
-	fs.s.FillLine(line, buf)
-	return true
+
+func (fs *fillSource) SingleSize(line uint64) int {
+	fs.calls++
+	fs.s.FillLine(line, fs.a[:])
+	return compress.SizeWith(fs.alg, fs.a[:])
+}
+
+func (fs *fillSource) PairSize(evenLine uint64) int {
+	fs.calls++
+	fs.s.FillLine(evenLine, fs.a[:])
+	fs.s.FillLine(evenLine|1, fs.b[:])
+	return compress.PairSizeWith(fs.alg, fs.a[:], fs.b[:])
 }
 
 func memoTestCache(t *testing.T, src DataSource, cfg Config) *Cache {
@@ -70,27 +85,30 @@ func TestSizeMemoMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestSizeMemoMatchesDirectPerAlgorithm covers the custom-sizer path:
-// the memoized sizes under the FPC-only and BDI-only ablation sizers
-// must match direct SizeWith/PairSizeWith calls.
+// TestSizeMemoMatchesDirectPerAlgorithm covers sources sizing under the
+// FPC-only and BDI-only ablation algorithms: the memoized sizes must
+// match direct SizeWith/PairSizeWith calls, and the source must be asked
+// once per distinct single and pair — never again from the memo.
 func TestSizeMemoMatchesDirectPerAlgorithm(t *testing.T) {
 	for _, alg := range []compress.AlgID{compress.AlgFPC, compress.AlgBDI} {
 		synth := data.NewSynth(0x600D, data.HighlyCompressible())
-		c := memoTestCache(t, &fillSource{s: synth}, Config{
-			Policy:      PolicyDICE,
-			SingleSizer: func(l []byte) int { return compress.SizeWith(alg, l) },
-			PairSizer:   func(a, b []byte) int { return compress.PairSizeWith(alg, a, b) },
-		})
-		for line := uint64(0); line < 256; line++ {
-			if got, want := c.singleSize(line), compress.SizeWith(alg, synth.Line(line)); got != want {
-				t.Fatalf("alg %v line %d: singleSize=%d, direct=%d", alg, line, got, want)
-			}
-			if line%2 == 0 {
-				want := (compress.PairSizeWith(alg, synth.Line(line), synth.Line(line|1)) + 1) &^ 1
-				if got := c.pairSize(line); got != want {
-					t.Fatalf("alg %v line %d: pairSize=%d, direct=%d", alg, line, got, want)
+		src := &fillSource{s: synth, alg: alg}
+		c := memoTestCache(t, src, Config{Policy: PolicyDICE})
+		for pass := 0; pass < 2; pass++ {
+			for line := uint64(0); line < 256; line++ {
+				if got, want := c.singleSize(line), compress.SizeWith(alg, synth.Line(line)); got != want {
+					t.Fatalf("alg %v line %d: singleSize=%d, direct=%d", alg, line, got, want)
+				}
+				if line%2 == 0 {
+					want := (compress.PairSizeWith(alg, synth.Line(line), synth.Line(line|1)) + 1) &^ 1
+					if got := c.pairSize(line); got != want {
+						t.Fatalf("alg %v line %d: pairSize=%d, direct=%d", alg, line, got, want)
+					}
 				}
 			}
+		}
+		if src.calls != 256+128 {
+			t.Fatalf("alg %v: source asked %d times, want %d (once per single and pair)", alg, src.calls, 256+128)
 		}
 	}
 }
@@ -150,17 +168,21 @@ func TestPairSizeNilOddBoundary(t *testing.T) {
 	}
 }
 
+// oddPairSource reports a 33B single size and an odd 67B pair size for
+// every line.
+type oddPairSource struct{ *synthSource }
+
+func (oddPairSource) SingleSize(uint64) int { return 33 }
+func (oddPairSource) PairSize(uint64) int   { return 67 }
+
 // TestPairSizeOddRoundsUp pins the memo's storage quirk: odd pair sizes
-// (possible only through custom sizers) round up to the next even byte
-// count — the memo packs pair sizes /2 into a byte — and the rounded
-// value is what every caller observes, first computation included.
+// (possible only from a SizeSource, never from the compressors) round up
+// to the next even byte count — the memo packs pair sizes /2 into a byte
+// — and the rounded value is what every caller observes, first
+// computation included.
 func TestPairSizeOddRoundsUp(t *testing.T) {
 	synth := data.NewSynth(0x0DD, data.HighlyCompressible())
-	c := memoTestCache(t, &fillSource{s: synth}, Config{
-		Policy:      PolicyDICE,
-		SingleSizer: func([]byte) int { return 33 },
-		PairSizer:   func(_, _ []byte) int { return 67 },
-	})
+	c := memoTestCache(t, oddPairSource{&synthSource{s: synth}}, Config{Policy: PolicyDICE})
 	if got := c.pairSize(0); got != 68 {
 		t.Fatalf("first pairSize(0)=%d, want 68 (67 rounded up)", got)
 	}
@@ -169,29 +191,32 @@ func TestPairSizeOddRoundsUp(t *testing.T) {
 	}
 }
 
-// TestSizeCacheStatsExposed checks the content-keyed cache is active on
-// the default hybrid path (hits from duplicate contents across
-// addresses) and inert with custom sizers.
-func TestSizeCacheStatsExposed(t *testing.T) {
-	zeros := data.Uniform(data.KindZero) // every line identical: all zero
-	c := memoTestCache(t, &fillSource{s: data.NewSynth(1, zeros)}, Config{Policy: PolicyDICE})
-	for line := uint64(0); line < 128; line++ {
-		if got := c.singleSize(line); got != 0 {
-			t.Fatalf("zero line sized %d", got)
+// sizeOnlySource is a SizeSource whose bytes the cache must never read.
+type sizeOnlySource struct{ fillSource }
+
+func (*sizeOnlySource) Line(uint64) []byte { panic("Line called on a SizeSource outside verify mode") }
+
+// TestSizeSourceIsTheOnlySizer drives a DICE cache over a SizeSource
+// whose Line panics: every size the cache needs — install decisions,
+// repacks, pair sharing — must come from the source, and each memo miss
+// is exactly one question to it.
+func TestSizeSourceIsTheOnlySizer(t *testing.T) {
+	src := &sizeOnlySource{fillSource{s: data.NewSynth(0x51CE, data.HighlyCompressible())}}
+	c := memoTestCache(t, src, Config{Policy: PolicyDICE})
+	now := uint64(0)
+	for i := uint64(0); i < 4000; i++ {
+		line := (i * 0x9E3779B1) % 2048
+		r := c.Read(now, line)
+		now = r.Done
+		if !r.Hit {
+			now = c.Install(now, line, i%5 == 0).Done
 		}
 	}
-	st := c.SizeCacheStats()
-	if st.Misses != 1 || st.Hits != 127 {
-		t.Fatalf("content cache stats = %+v, want 1 miss + 127 hits for identical lines", st)
+	st := c.Stats()
+	if st.SizeMemoMisses == 0 || st.SizeMemoHits == 0 {
+		t.Fatalf("memo idle: %d hits, %d misses", st.SizeMemoHits, st.SizeMemoMisses)
 	}
-
-	custom := memoTestCache(t, &fillSource{s: data.NewSynth(1, zeros)}, Config{
-		Policy:      PolicyDICE,
-		SingleSizer: func(l []byte) int { return compress.SizeWith(compress.AlgFPC, l) },
-		PairSizer:   func(a, b []byte) int { return compress.PairSizeWith(compress.AlgFPC, a, b) },
-	})
-	custom.singleSize(0)
-	if st := custom.SizeCacheStats(); st != (compress.SizeCacheStats{}) {
-		t.Fatalf("custom-sizer cache should not use the content cache, got %+v", st)
+	if uint64(src.calls) != st.SizeMemoMisses {
+		t.Fatalf("source asked %d times for %d memo misses", src.calls, st.SizeMemoMisses)
 	}
 }

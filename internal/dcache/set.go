@@ -36,22 +36,22 @@ const (
 )
 
 // entry is one logical line resident in a set, most recently used first.
+// It holds no pointers and packs into 16 bytes, so the cache's per-set
+// entry arena is a noscan allocation.
 type entry struct {
 	line  uint64
 	dirty bool
 	bai   bool // stored at its BAI location (meaningful when not invariant)
 	// size is the data bytes this entry currently occupies, after any
-	// pair base-sharing discount. Maintained by repack.
-	size int
+	// pair base-sharing discount (0..128). Maintained by repack.
+	size uint8
 	// singleP1 caches the line's single compressed size + 1 (0 = not yet
 	// computed). Sizes are immutable per line, so once set, repack never
 	// consults the sizer for this entry's single encoding again.
-	singleP1 uint16
+	singleP1 uint8
 	// sharedTag marks the second member of an adjacent pair, which rides
 	// on its buddy's tag entry.
 	sharedTag bool
-	// enc holds the line's stored encoding in verify mode (nil otherwise).
-	enc *compress.Encoding
 }
 
 // set holds the resident lines of one physical set frame in LRU order
@@ -102,7 +102,7 @@ func (s *set) usage() int {
 		if !e.sharedTag {
 			u += TagBytes
 		}
-		u += e.size
+		u += int(e.size)
 	}
 	return u
 }
@@ -122,9 +122,9 @@ func (s *set) repack(sz sizer) {
 	for i := range s.entries {
 		e := &s.entries[i]
 		if e.singleP1 == 0 {
-			e.singleP1 = uint16(sz.singleSize(e.line)) + 1
+			e.singleP1 = uint8(sz.singleSize(e.line)) + 1
 		}
-		e.size = int(e.singleP1) - 1
+		e.size = e.singleP1 - 1
 		e.sharedTag = false
 	}
 	// Apply pair sharing for co-resident buddies. The even member keeps
@@ -143,11 +143,7 @@ func (s *set) repack(sz sizer) {
 		odd.sharedTag = true
 		// Split the pair size: even keeps its single size; the odd entry
 		// absorbs the remainder (which includes any shared-base saving).
-		oddSize := pair - e.size
-		if oddSize < 0 {
-			oddSize = 0
-		}
-		odd.size = oddSize
+		odd.size = uint8(max(pair-int(e.size), 0))
 	}
 }
 
@@ -168,8 +164,7 @@ func (s *set) evictLRU(keep int) (entry, bool) {
 }
 
 // compressedSizeOf computes the hybrid compressed size of a data line,
-// treating a nil line (unknown data) as incompressible. Exposed through
-// the cache's sizer so tests can exercise it directly.
+// treating a nil line (unknown data) as incompressible.
 func compressedSizeOf(data []byte) int {
 	if data == nil {
 		return compress.LineSize

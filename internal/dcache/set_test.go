@@ -1,8 +1,10 @@
 package dcache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // fixedSizer assigns fixed single/pair sizes for codec-level tests.
@@ -193,5 +195,22 @@ func TestCompressedSizeOfNil(t *testing.T) {
 	}
 	if pairCompressedSizeOf(make([]byte, 64), nil) != 128 {
 		t.Fatal("half-nil pair must be incompressible")
+	}
+}
+
+// TestEntryIsSmallAndPointerFree pins the set entry's layout: 16 bytes
+// and no pointer-holding field, so the per-set entry arena stays a
+// small allocation the garbage collector never scans.
+func TestEntryIsSmallAndPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 16 {
+		t.Fatalf("entry is %d bytes, want 16", n)
+	}
+	typ := reflect.TypeOf(entry{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch k := typ.Field(i).Type.Kind(); k {
+		case reflect.Bool, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Fatalf("entry field %s has kind %v; entries must hold no pointers", typ.Field(i).Name, k)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"dice/internal/cache"
+	"dice/internal/compress"
 	"dice/internal/dcache"
 	"dice/internal/dram"
 	"dice/internal/energy"
@@ -220,6 +221,12 @@ type machine struct {
 	pageTables [cores][]uint64
 	revMap     []vpageRef // physical page -> owner
 	nextPP     uint64
+
+	// alg is the L4's sizing algorithm (the zero value, AlgNone, selects
+	// the hybrid; see compress.SizeWith) and scratch the line buffers its
+	// size-table misses fill.
+	alg     compress.AlgID
+	scratch [2][compress.LineSize]byte
 }
 
 type vpageRef struct {
@@ -260,22 +267,26 @@ func (m *machine) Line(paLine uint64) []byte {
 	return m.insts[ref.inst].Data(ref.vpage<<6 | paLine&63)
 }
 
-// FillLine implements dcache.Filler: the allocation-free variant of Line
-// used on the cache's sizing hot path.
-func (m *machine) FillLine(paLine uint64, buf []byte) bool {
+// SingleSize implements dcache.SizeSource over physical lines: the
+// owning instance's size table answers for the virtual line.
+func (m *machine) SingleSize(paLine uint64) int {
 	pp := paLine >> 6
 	if pp >= uint64(len(m.revMap)) {
-		return false
+		return compress.LineSize // untranslated line: incompressible
 	}
 	ref := m.revMap[pp]
-	in := &m.insts[ref.inst]
-	vline := ref.vpage<<6 | paLine&63
-	if in.Fill != nil {
-		in.Fill(vline, buf)
-		return true
+	return m.insts[ref.inst].Sizes.Single(m.alg, ref.vpage<<6|paLine&63, m.scratch[0][:])
+}
+
+// PairSize implements dcache.SizeSource. A buddy pair never straddles a
+// page, so both lines belong to the same instance.
+func (m *machine) PairSize(evenPA uint64) int {
+	pp := evenPA >> 6
+	if pp >= uint64(len(m.revMap)) {
+		return 2 * compress.LineSize
 	}
-	copy(buf, in.Data(vline))
-	return true
+	ref := m.revMap[pp]
+	return m.insts[ref.inst].Sizes.Pair(m.alg, ref.vpage<<6|evenPA&63, m.scratch[0][:], m.scratch[1][:])
 }
 
 // Run executes workload w under cfg and returns the measured result. It
@@ -325,8 +336,7 @@ func (m *machine) step(c *core) {
 	}
 
 	pa := m.translate(c.idx, req.Line)
-	l3HitBefore := m.l3.Contains(pa)
-	done := m.accessMemSystem(now, pa, req.Write, true)
+	done, l3Hit := m.accessMemSystem(now, pa, req.Write, true)
 
 	// Stores retire through the store buffer; only loads occupy the MLP
 	// window.
@@ -336,7 +346,7 @@ func (m *machine) step(c *core) {
 
 	// Prefetch options (Table 7) trigger on demand L3 misses only: an L3
 	// hit means the spatial region is already on chip.
-	if !l3HitBefore {
+	if !l3Hit {
 		switch m.cfg.Prefetch {
 		case PrefetchNextLine:
 			m.prefetch(now, c, req.Line+1)
@@ -368,11 +378,11 @@ func (m *machine) prefetch(now uint64, c *core, vline uint64) {
 }
 
 // accessMemSystem walks one reference through L3 -> L4 -> DDR and returns
-// its data-ready cycle. demand distinguishes demand requests (which train
-// MAP-I) from prefetches.
-func (m *machine) accessMemSystem(now uint64, pa uint64, write bool, demand bool) uint64 {
+// its data-ready cycle and whether it hit in L3. demand distinguishes
+// demand requests (which train MAP-I) from prefetches.
+func (m *machine) accessMemSystem(now uint64, pa uint64, write bool, demand bool) (uint64, bool) {
 	if m.l3.Lookup(pa, write) {
-		return now + l3HitLat
+		return now + l3HitLat, true
 	}
 	tL4 := now + l3HitLat // L3 miss determination
 
@@ -411,7 +421,7 @@ func (m *machine) accessMemSystem(now uint64, pa uint64, write bool, demand bool
 	if r.HasExtra {
 		m.installL3(dataAt, r.Extra, false)
 	}
-	return dataAt
+	return dataAt, false
 }
 
 // installL3 fills a line into L3, routing any dirty victim back to the L4

@@ -91,19 +91,10 @@ func prepare(cfg Config, w workloads.Workload, ob *obs.Observer) (*runState, err
 		Trace:      tr,
 	}
 	switch cfg.CompressAlg {
-	case "":
-		// hybrid FPC+BDI, the paper's default
 	case "fpc":
-		sc := compress.NewSizeCache(0)
-		l4cfg.SingleSizer = func(l []byte) int { return sc.SingleWith(compress.AlgFPC, l) }
-		l4cfg.PairSizer = func(a, b []byte) int { return sc.PairWith(compress.AlgFPC, a, b) }
+		m.alg = compress.AlgFPC
 	case "bdi":
-		sc := compress.NewSizeCache(0)
-		l4cfg.SingleSizer = func(l []byte) int { return sc.SingleWith(compress.AlgBDI, l) }
-		l4cfg.PairSizer = func(a, b []byte) int { return sc.PairWith(compress.AlgBDI, a, b) }
-	default:
-		// Unreachable: Validate rejects unknown algorithms up front.
-		return nil, fmt.Errorf("sim: unknown CompressAlg %q", cfg.CompressAlg)
+		m.alg = compress.AlgBDI
 	}
 	var fm *fault.Model
 	if cfg.FaultBER > 0 {

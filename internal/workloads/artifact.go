@@ -4,16 +4,19 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dice/internal/compress"
 	"dice/internal/data"
 	"dice/internal/graph"
 	"dice/internal/trace"
 )
 
-// Artifacts is the immutable build product of one (workload, scaleShift)
-// pair: sized graphs, recorded kernel request traces, and the synthetic
-// generator/data parameters of every core. Everything reachable from an
-// Artifacts value is read-only after construction — graph workspaces and
-// replay traces are shared by reference across any number of concurrent
+// Artifacts is the build product of one (workload, scaleShift) pair:
+// sized graphs, recorded kernel request traces, the synthetic generator
+// and data image of every core, and one compressed-size table per data
+// image. Everything reachable from an Artifacts value is read-only after
+// construction except the size tables, which fill lazily with values
+// that depend only on the image — graph workspaces, replay traces and
+// size tables are shared by reference across any number of concurrent
 // simulations, while the stateful parts of a run (trace generator
 // positions, RNG streams) are created fresh by Instantiate. That split
 // is what lets the process-wide cache hand one build to the whole
@@ -35,22 +38,21 @@ type coreArtifact struct {
 	// trace, shared read-only across every instantiation.
 	gap *builtGAP
 
-	// Synthetic cores: the generator configuration (including seed) and
-	// the data-image parameters. Generators and Synth values are rebuilt
-	// per instantiation — both are O(1) — so no run-local state leaks
-	// between concurrent simulations.
+	// Synthetic cores: the generator configuration (including seed),
+	// rebuilt per instantiation so no run-local state leaks between
+	// concurrent simulations, and the data image with its size table.
+	// data.Synth is stateless, so the image is shared.
 	synthCfg trace.SynthConfig
-	dataSeed uint64
-	profile  data.Profile
+	data     *data.Synth
+	sizes    *compress.SizeTable
 }
 
 // Instantiate materializes runnable per-core instances around the shared
-// artifacts: fresh replay/synthetic generators (stateful), fresh data
-// synthesizers (cheap), shared graph workspaces and request slices
-// (immutable). It is safe to call concurrently from any number of
-// goroutines and each call returns fully independent generator state, so
-// simulations built from one Artifacts value are byte-identical to ones
-// built cold.
+// artifacts: fresh replay/synthetic generators (stateful), shared data
+// images, size tables, graph workspaces and request slices. It is safe
+// to call concurrently from any number of goroutines and each call
+// returns fully independent generator state, so simulations built from
+// one Artifacts value are byte-identical to ones built cold.
 func (a *Artifacts) Instantiate() []Instance {
 	out := make([]Instance, len(a.cores))
 	for i, c := range a.cores {
@@ -60,17 +62,16 @@ func (a *Artifacts) Instantiate() []Instance {
 				FootprintLines: c.footprintLines,
 				Gen:            trace.NewLooping(trace.NewReplay(c.gap.reqs)),
 				Data:           c.gap.ws.Line,
-				Fill:           c.gap.ws.FillLine,
+				Sizes:          c.gap.sizes,
 			}
 			continue
 		}
-		synth := data.NewSynth(c.dataSeed, c.profile)
 		out[i] = Instance{
 			Name: c.name, MPKI: c.mpki,
 			FootprintLines: c.footprintLines,
 			Gen:            trace.NewSynthetic(c.synthCfg),
-			Data:           synth.Line,
-			Fill:           synth.FillLine,
+			Data:           c.data.Line,
+			Sizes:          c.sizes,
 		}
 	}
 	return out
@@ -113,6 +114,7 @@ func (w Workload) buildArtifacts(scaleShift uint) *Artifacts {
 		if hot < 64 {
 			hot = 64
 		}
+		synth := data.NewSynth(seed^0xDA7A, cl.profile)
 		a.cores[i] = coreArtifact{
 			name: cl.Name, mpki: cl.MPKI,
 			footprintLines: fp,
@@ -125,8 +127,8 @@ func (w Workload) buildArtifacts(scaleShift uint) *Artifacts {
 				WriteFrac: cl.pat.writeFrac,
 				Seed:      seed,
 			},
-			dataSeed: seed ^ 0xDA7A,
-			profile:  cl.profile,
+			data:  synth,
+			sizes: compress.NewSizeTable(fp, synth.FillLine),
 		}
 	}
 	return a
@@ -185,9 +187,11 @@ func ResetCacheStats() {
 	cacheMisses.Store(0)
 }
 
-// DropCache discards every cached artifact and zeroes the counters.
-// Tests use it to force cold builds; production code never needs it
-// (artifacts are bounded by catalog size x distinct scales).
+// DropCache discards every cached artifact, size tables included, and
+// zeroes the counters. Tests use it to force cold builds; production
+// code never needs it (artifacts are bounded by catalog size x distinct
+// scales, and each image's size tables by 2 bytes per line per
+// algorithm in use).
 func DropCache() {
 	cacheMu.Lock()
 	cacheEntries = map[artifactKey]*artifactEntry{}

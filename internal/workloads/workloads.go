@@ -15,6 +15,7 @@ package workloads
 import (
 	"fmt"
 
+	"dice/internal/compress"
 	"dice/internal/data"
 	"dice/internal/graph"
 	"dice/internal/trace"
@@ -85,19 +86,22 @@ type Instance struct {
 	Gen            trace.Generator
 	// Data returns the 64 bytes of a virtual line.
 	Data func(line uint64) []byte
-	// Fill writes the 64 bytes of a virtual line into a caller-provided
-	// buffer, the allocation-free variant of Data. May be nil, in which
-	// case callers fall back to Data.
-	Fill func(line uint64, buf []byte)
+	// Sizes memoizes the compressed sizes of the data image's lines. It
+	// belongs to the build artifact, so every instance of the same image
+	// in the process shares it.
+	Sizes *compress.SizeTable
 }
 
-// builtGAP is the shared, immutable build product of one GAP (kernel,
-// input) pair: the graph workspace (its Line/FillLine closures are pure
-// reads over the finished kernel arrays) and the recorded request trace.
+// builtGAP is the shared build product of one GAP (kernel, input) pair:
+// the graph workspace (its Line/FillLine methods are pure reads over the
+// finished kernel arrays), the recorded request trace, and the size
+// table of the workspace's image, which every core running the pair
+// reads.
 type builtGAP struct {
 	ws             *graph.Workspace
 	reqs           []trace.Request
 	footprintLines uint64
+	sizes          *compress.SizeTable
 }
 
 // buildGAP sizes a graph so the kernel's footprint matches the scaled
@@ -127,10 +131,12 @@ func buildGAP(cl CoreLoad, scaleShift uint) *builtGAP {
 	}
 	const traceBudget = 600_000
 	ws := graph.Trace(cl.kernel.k, g, traceBudget)
+	lines := ws.FootprintBytes() >> 6
 	return &builtGAP{
 		ws:             ws,
 		reqs:           ws.Requests(),
-		footprintLines: ws.FootprintBytes() >> 6,
+		footprintLines: lines,
+		sizes:          compress.NewSizeTable(lines, ws.FillLine),
 	}
 }
 
