@@ -9,7 +9,8 @@ GO ?= go
 LINTDOC_PKGS = ./internal/obs ./internal/fault ./internal/parallel \
 	./internal/serve ./internal/serve/client ./internal/sigctx \
 	./internal/leakcheck ./internal/dse ./internal/clidoc \
-	./internal/experiments ./internal/commitlog ./cmd/dicesweep
+	./internal/experiments ./internal/commitlog ./internal/sim \
+	./internal/workloads ./cmd/dicesweep ./cmd/dicesim ./cmd/dicebench
 
 all: build vet lint test
 
@@ -53,8 +54,10 @@ fuzz:
 # group commit, and the commitlog/append-{1,64} pair whose appends/sec
 # ratio is the fsync amortization factor on this machine. The
 # simcore/{event,cycle} pair is the discrete-event scheduler's
-# dispatch comparison, the matrix/gap8-{cold,warm} pair the artifact
-# cache's headline warm-vs-cold wall-clock ratio, and the "pr10-sweep"
+# dispatch comparison against the test-scope cycle-stepped reference
+# (the CLIs always run the event core), the matrix/gap8-{cold,warm}
+# pair the artifact cache's headline warm-vs-cold wall-clock ratio
+# (cold drops the cache before every simulation), and the "pr10-sweep"
 # label in the same file is sweep-smoke's cells/hour record.
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -110,9 +113,9 @@ daemon-smoke:
 # Sweep smoke: build the real dicesweep and dicebenchd binaries and
 # run the DSE acceptance bar end to end — a three-axis spec expanding
 # to 320 cells through the local pool at workers 8 and workers 1 AND
-# sharded over a live daemon four ways (streamed partial results and
-# -poll-only, each at workers 8 and 1), frontier exports byte-compared
-# across all of them, with the streamed epoch-metrics NDJSON checked
+# sharded over a live daemon with streamed partial results at workers
+# 8 and 1, every frontier export byte-compared against the local one
+# (local 8 vs 1, streamed 8 and 1 vs local), with the streamed epoch-metrics NDJSON checked
 # for well-formedness; plus the SIGINT-mid-sweep / -resume round trip
 # and a daemon SIGKILLed mid-stream and restarted on the same port
 # (the sweep rides through with no duplicate cells in its results

@@ -75,7 +75,9 @@ func startDaemon(t *testing.T, args ...string) *daemonProc {
 	p := &daemonProc{cmd: cmd, done: make(chan error, 1), out: &strings.Builder{}, mu: &sync.Mutex{}}
 
 	addrCh := make(chan string, 1)
+	readDone := make(chan struct{})
 	go func() {
+		defer close(readDone)
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()
@@ -91,7 +93,13 @@ func startDaemon(t *testing.T, args ...string) *daemonProc {
 		}
 		io.Copy(io.Discard, stdout)
 	}()
-	go func() { p.done <- cmd.Wait() }()
+	// Wait closes the pipe, so it must not run before the reader has
+	// drained it: otherwise the final lines (the clean-shutdown line)
+	// can be lost.
+	go func() {
+		<-readDone
+		p.done <- cmd.Wait()
+	}()
 
 	select {
 	case p.addr = <-addrCh:

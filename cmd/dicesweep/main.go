@@ -51,8 +51,6 @@ type cliFlags struct {
 	daemons       *string
 	batch         *int
 	shardDeadline *time.Duration
-	poll          *time.Duration
-	pollOnly      *bool
 	metricsEpoch  *uint64
 	metricsOut    *string
 	out           *string
@@ -73,8 +71,6 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		daemons:       fs.String("daemons", "", "comma-separated dicebenchd base URLs to shard across ('' = run in-process)"),
 		batch:         fs.Int("batch", 0, "cells per daemon job (0 = 256)"),
 		shardDeadline: fs.Duration("shard-deadline", 0, "per-job deadline daemons enforce (0 = none)"),
-		poll:          fs.Duration("poll", 100*time.Millisecond, "job-status poll interval for daemon sharding"),
-		pollOnly:      fs.Bool("poll-only", false, "disable result streaming for daemon sharding; poll jobs to terminal state (frontier bytes identical either way)"),
 		metricsEpoch:  fs.Uint64("metrics-epoch", 0, "emit per-epoch metric snapshots every N simulated cycles (0 = off; requires -metrics-out)"),
 		metricsOut:    fs.String("metrics-out", "", "append streamed epoch snapshots to this NDJSON file (requires -metrics-epoch)"),
 		out:           fs.String("out", "frontier", "frontier export path prefix (writes <out>.csv and <out>.json)"),
@@ -152,8 +148,6 @@ func run(opts *cliFlags) error {
 		Workers:       *opts.workers,
 		Batch:         *opts.batch,
 		ShardDeadline: *opts.shardDeadline,
-		Poll:          *opts.poll,
-		PollOnly:      *opts.pollOnly,
 	}
 	if (*opts.metricsEpoch > 0) != (*opts.metricsOut != "") {
 		return fmt.Errorf("dicesweep: -metrics-epoch and -metrics-out must be set together")

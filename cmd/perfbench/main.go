@@ -326,11 +326,11 @@ func benches() []bench {
 			// The sim-default scale (workloads.Build itself takes the raw
 			// shift; the 0 -> 10 defaulting lives in sim.Config).
 			scale := sim.Config{}.EffectiveScale()
-			workloads.SetCacheEnabled(false)
-			defer workloads.SetCacheEnabled(true)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				// Dropping the cache makes every Build a cold construction.
+				workloads.DropCache()
 				w.Build(scale)
 			}
 		}},
@@ -340,7 +340,6 @@ func benches() []bench {
 				b.Fatal(err)
 			}
 			scale := sim.Config{}.EffectiveScale()
-			workloads.SetCacheEnabled(true)
 			w.Warm(scale)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -359,9 +358,10 @@ func benches() []bench {
 
 // matrixBench runs a fig10-class slice of the evaluation — one GAP
 // workload under 8 configurations — through the experiment runner, with
-// the artifact cache either cold-disabled (the pre-cache behavior:
-// every simulation rebuilds the graph and kernel trace) or warmed. The
-// warm:cold wall-clock ratio is the artifact cache's headline win.
+// the artifact cache either dropped before every simulation (the
+// pre-cache behavior: every simulation rebuilds the graph and kernel
+// trace) or warmed. The warm:cold wall-clock ratio is the artifact
+// cache's headline win.
 func matrixBench(warm bool) func(*testing.B) {
 	return func(b *testing.B) {
 		w, err := workloads.ByName("cc_twi")
@@ -369,8 +369,6 @@ func matrixBench(warm bool) func(*testing.B) {
 			b.Fatal(err)
 		}
 		cfgs := []string{"base", "tsi", "nsi", "bai", "dice", "scc", "dice-knl", "dice-t32"}
-		workloads.SetCacheEnabled(warm)
-		defer workloads.SetCacheEnabled(true)
 		if warm {
 			w.Warm(sim.Config{}.EffectiveScale())
 		}
@@ -381,6 +379,9 @@ func matrixBench(warm bool) func(*testing.B) {
 			// absorb the work the artifact cache is being measured on.
 			r := experiments.NewRunner(simRefsPerCore)
 			for _, cfg := range cfgs {
+				if !warm {
+					workloads.DropCache()
+				}
 				r.Run(cfg, w)
 			}
 		}

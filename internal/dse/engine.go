@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -18,7 +17,7 @@ import (
 
 // DefaultBatch is the cells-per-job batch size for daemon-sharded
 // runs when Options.Batch is zero: big enough to amortize the
-// submit/poll round trips, small enough that a shard death or per-job
+// submit/stream round trips, small enough that a shard death or per-job
 // deadline loses little work (every delivered batch is already
 // checkpointed cell-by-cell).
 const DefaultBatch = 256
@@ -39,16 +38,6 @@ type Options struct {
 	// (0 = none). A batch that blows it fails alone; its cells stay
 	// pending for -resume.
 	ShardDeadline time.Duration
-	// Poll is the job-status poll interval for daemon sharding
-	// (0 = 100ms). With streaming (the default) it is only the
-	// fallback cadence; under PollOnly it is the primary mechanism.
-	Poll time.Duration
-	// PollOnly disables the streaming results path for daemon
-	// sharding: jobs are polled to terminal state and their output
-	// decoded in one piece, as before streaming existed. Frontier
-	// exports are byte-identical either way — streaming changes when
-	// cells checkpoint, not what they contain.
-	PollOnly bool
 	// MetricsEpoch, when nonzero, attaches an epoch-metrics recorder
 	// (every MetricsEpoch simulated cycles) to each cell's simulation
 	// and delivers every snapshot to EpochSink — over the job stream
@@ -175,10 +164,6 @@ func runSharded(ctx context.Context, pending []serve.CellSpec, record func(serve
 	if batch > serve.MaxCellsPerJob {
 		batch = serve.MaxCellsPerJob
 	}
-	poll := opt.Poll
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
 	var batches [][]serve.CellSpec
 	for lo := 0; lo < len(pending); lo += batch {
 		hi := min(lo+batch, len(pending))
@@ -201,7 +186,7 @@ func runSharded(ctx context.Context, pending []serve.CellSpec, record func(serve
 			defer wg.Done()
 			c := client.New(base, int64(di+1))
 			for bi := range queue {
-				if err := runBatch(ctx, c, batches[bi], record, poll, opt); err != nil {
+				if err := runBatch(ctx, c, batches[bi], record, opt); err != nil {
 					fail(fmt.Errorf("dse: daemon %s batch %d: %w", base, bi, err))
 				}
 			}
@@ -224,14 +209,11 @@ func runSharded(ctx context.Context, pending []serve.CellSpec, record func(serve
 	return nil
 }
 
-// runBatch runs one batch as one daemon job and checkpoints its
-// results. The default path streams: cells are recorded — and hit the
-// results log — the moment the daemon emits them, long before the job
-// is terminal, and epoch snapshots flow to the sink as they happen.
-// Under PollOnly the batch is awaited to terminal state and decoded
-// in one piece. Both paths checkpoint identical bytes per cell; only
-// the checkpoint timing differs.
-func runBatch(ctx context.Context, c *client.Client, cells []serve.CellSpec, record func(serve.CellResult) error, poll time.Duration, opt Options) error {
+// runBatch runs one batch as one daemon job and streams its results:
+// cells are recorded — and hit the results log — the moment the daemon
+// emits them, long before the job is terminal, and epoch snapshots
+// flow to the sink as they happen.
+func runBatch(ctx context.Context, c *client.Client, cells []serve.CellSpec, record func(serve.CellResult) error, opt Options) error {
 	spec := serve.JobSpec{
 		Cells:      cells,
 		Workers:    opt.Workers,
@@ -243,9 +225,6 @@ func runBatch(ctx context.Context, c *client.Client, cells []serve.CellSpec, rec
 	st, err := c.Submit(ctx, spec)
 	if err != nil {
 		return fmt.Errorf("submit: %w", err)
-	}
-	if opt.PollOnly {
-		return pollBatch(ctx, c, st.ID, cells, record, poll, opt)
 	}
 
 	// delivered dedups within this batch: a daemon restart mid-stream
@@ -281,31 +260,5 @@ func runBatch(ctx context.Context, c *client.Client, cells []serve.CellSpec, rec
 		}
 	}
 	opt.logf("sweep: batch of %d cells streamed from job %s", len(cells), st.ID)
-	return nil
-}
-
-// pollBatch is the pre-streaming consumption path: await terminal
-// state, decode the whole output, checkpoint.
-func pollBatch(ctx context.Context, c *client.Client, id string, cells []serve.CellSpec, record func(serve.CellResult) error, poll time.Duration, opt Options) error {
-	st, err := c.Wait(ctx, id, poll)
-	if err != nil {
-		return fmt.Errorf("wait %s: %w", id, err)
-	}
-	if st.State != serve.StateDone {
-		return fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error)
-	}
-	results, err := serve.DecodeCellResults(strings.NewReader(st.Output))
-	if err != nil {
-		return fmt.Errorf("job %s: %w", st.ID, err)
-	}
-	if len(results) != len(cells) {
-		return fmt.Errorf("job %s delivered %d results for %d cells", st.ID, len(results), len(cells))
-	}
-	for _, res := range results {
-		if err := record(res); err != nil {
-			return err
-		}
-	}
-	opt.logf("sweep: batch of %d cells done on job %s", len(cells), st.ID)
 	return nil
 }

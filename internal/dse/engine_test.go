@@ -109,7 +109,6 @@ func TestFrontierByteEqualLocalVsDaemon(t *testing.T) {
 		Workers: 2,
 		Daemons: []string{"http://" + addr.String()},
 		Batch:   3, // force several jobs, exercising batch chunking
-		Poll:    5 * time.Millisecond,
 	})
 	if !bytes.Equal(localCSV, daemonCSV) {
 		t.Fatalf("CSV diverges between local and daemon paths:\n--- local ---\n%s--- daemon ---\n%s", localCSV, daemonCSV)

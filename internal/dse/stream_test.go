@@ -18,9 +18,9 @@ import (
 )
 
 // The streaming invariant: consuming partial results over the job
-// stream produces frontier exports byte-identical to the pre-streaming
-// poll-to-terminal path, at both the serial and parallel schedules.
-func TestFrontierByteEqualStreamVsPollOnly(t *testing.T) {
+// stream produces frontier exports byte-identical to the in-process
+// run, at both the serial and parallel schedules.
+func TestFrontierByteEqualStreamVsLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("daemon round trip skipped in -short mode")
 	}
@@ -41,22 +41,18 @@ func TestFrontierByteEqualStreamVsPollOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Options{
-		Daemons: []string{"http://" + addr.String()},
-		Batch:   3,
-		Poll:    5 * time.Millisecond,
-	}
 	for _, workers := range []int{1, 8} {
-		stream, poll := base, base
-		stream.Workers, poll.Workers = workers, workers
-		poll.PollOnly = true
-		sCSV, sJSON := exportBytes(t, cells, stream)
-		pCSV, pJSON := exportBytes(t, cells, poll)
-		if !bytes.Equal(sCSV, pCSV) {
-			t.Fatalf("workers=%d: CSV diverges between stream and poll paths:\n--- stream ---\n%s--- poll ---\n%s", workers, sCSV, pCSV)
+		sCSV, sJSON := exportBytes(t, cells, Options{
+			Workers: workers,
+			Daemons: []string{"http://" + addr.String()},
+			Batch:   3,
+		})
+		lCSV, lJSON := exportBytes(t, cells, Options{Workers: workers})
+		if !bytes.Equal(sCSV, lCSV) {
+			t.Fatalf("workers=%d: CSV diverges between streamed and in-process runs:\n--- stream ---\n%s--- local ---\n%s", workers, sCSV, lCSV)
 		}
-		if !bytes.Equal(sJSON, pJSON) {
-			t.Fatalf("workers=%d: JSON diverges between stream and poll paths", workers)
+		if !bytes.Equal(sJSON, lJSON) {
+			t.Fatalf("workers=%d: JSON diverges between streamed and in-process runs", workers)
 		}
 	}
 }
@@ -212,7 +208,6 @@ func TestRestartRedeliveryNoDuplicateCells(t *testing.T) {
 	}
 	results, err := Run(context.Background(), cells, rlog, rep.Results, Options{
 		Daemons: []string{ts.URL},
-		Poll:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -84,6 +84,18 @@ type Runner struct {
 	// the cancellation-latency tests use it to cancel a context at a
 	// precise point between cells.
 	testHookSimDone func(key string)
+
+	// runSim executes one simulation; nil means sim.RunObserved. The
+	// differential tests point it at sim.RunReferenceObserved.
+	runSim func(sim.Config, workloads.Workload, *obs.Observer) (sim.Result, error)
+}
+
+// simulate runs one simulation through runSim (default sim.RunObserved).
+func (r *Runner) simulate(cfg sim.Config, w workloads.Workload, ob *obs.Observer) (sim.Result, error) {
+	if r.runSim != nil {
+		return r.runSim(cfg, w, ob)
+	}
+	return sim.RunObserved(cfg, w, ob)
 }
 
 // flight is one memoization slot. The first requester simulates and
@@ -274,7 +286,7 @@ func (r *Runner) RunConfig(key string, cfg sim.Config, w workloads.Workload) sim
 		}
 		ob = &obs.Observer{Rec: rec}
 	}
-	res, err := sim.RunObserved(cfg, w, ob)
+	res, err := r.simulate(cfg, w, ob)
 	if err != nil {
 		// Experiment configs are internal code, not user input: a bad one
 		// is a programming error, and panicking keeps the singleflight

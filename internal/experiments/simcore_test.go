@@ -7,6 +7,7 @@ import (
 
 	"dice/internal/obs"
 	"dice/internal/sim"
+	"dice/internal/workloads"
 )
 
 // simcoreRefs is the sampled per-core reference budget for the
@@ -102,30 +103,26 @@ func TestEventCoreMatchesReference(t *testing.T) {
 }
 
 // TestReportsBytesIdenticalAcrossCores renders full experiment reports
-// under -sim-core=event and -sim-core=cycle (via the process toggle the
-// CLIs use) at worker counts 1 and 8, and requires byte-identical
-// report text. This is the end-to-end form of the differential
-// guarantee: the runner's memoization, worker pool, and report
-// formatting all sit between the core and the bytes.
+// on the event core (the default) and on the cycle-stepped reference
+// (through the runner's runSim field) at worker counts 1 and 8, and
+// requires byte-identical report text. This is the end-to-end form of
+// the differential guarantee: the runner's memoization, worker pool,
+// and report formatting all sit between the core and the bytes.
 func TestReportsBytesIdenticalAcrossCores(t *testing.T) {
-	if sim.CurrentCoreKind() != sim.CoreEvent {
-		t.Fatal("default core is not event")
-	}
 	for _, id := range []string{"metrics-demo", "ablate-index"} {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 8} {
-			render := func(k sim.CoreKind) string {
-				sim.SetCoreKind(k)
-				defer sim.SetCoreKind(sim.CoreEvent)
+			render := func(runSim func(sim.Config, workloads.Workload, *obs.Observer) (sim.Result, error)) string {
 				r := NewRunner(simcoreRefs)
 				r.Workers = workers
+				r.runSim = runSim
 				return e.Run(r).String()
 			}
-			ev := render(sim.CoreEvent)
-			cy := render(sim.CoreCycle)
+			ev := render(nil)
+			cy := render(sim.RunReferenceObserved)
 			if ev != cy {
 				t.Errorf("%s at workers=%d: event and cycle reports differ:\n%s",
 					id, workers, firstDiff(ev, cy))

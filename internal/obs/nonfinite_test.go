@@ -59,7 +59,7 @@ func TestJSONRejectsNonFinite(t *testing.T) {
 }
 
 // TestCSVNonFiniteRoundTrip pins the CSV export's behavior on NaN/Inf:
-// strconv renders them as NaN/+Inf/-Inf and ReadCSV parses them back to
+// strconv renders them as NaN/+Inf/-Inf and readCSV parses them back to
 // the identical values, so no sample is ever silently altered.
 func TestCSVNonFiniteRoundTrip(t *testing.T) {
 	s := nonFiniteSeries()
@@ -67,9 +67,9 @@ func TestCSVNonFiniteRoundTrip(t *testing.T) {
 	if err := s.WriteCSV(&buf); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := readCSV(&buf)
 	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
+		t.Fatalf("readCSV: %v", err)
 	}
 	if len(got.Epochs) != 2 {
 		t.Fatalf("round-trip returned %d epochs, want 2", len(got.Epochs))

@@ -69,19 +69,19 @@ func TestExportRoundTrip(t *testing.T) {
 		lossy bool
 	}{
 		{"json-empty", func(s Series, b *bytes.Buffer) error { return s.WriteJSON(b) },
-			func(b *bytes.Buffer) (Series, error) { return ReadJSON(b) },
+			func(b *bytes.Buffer) (Series, error) { return readJSON(b) },
 			recordSeries(t, 100, 8, 0), false},
 		{"json-small", func(s Series, b *bytes.Buffer) error { return s.WriteJSON(b) },
-			func(b *bytes.Buffer) (Series, error) { return ReadJSON(b) },
+			func(b *bytes.Buffer) (Series, error) { return readJSON(b) },
 			recordSeries(t, 100, 8, 5), false},
 		{"json-overflowed", func(s Series, b *bytes.Buffer) error { return s.WriteJSON(b) },
-			func(b *bytes.Buffer) (Series, error) { return ReadJSON(b) },
+			func(b *bytes.Buffer) (Series, error) { return readJSON(b) },
 			recordSeries(t, 7, 4, 9), false},
 		{"csv-small", func(s Series, b *bytes.Buffer) error { return s.WriteCSV(b) },
-			func(b *bytes.Buffer) (Series, error) { return ReadCSV(b) },
+			func(b *bytes.Buffer) (Series, error) { return readCSV(b) },
 			recordSeries(t, 100, 8, 5), true},
 		{"csv-overflowed", func(s Series, b *bytes.Buffer) error { return s.WriteCSV(b) },
-			func(b *bytes.Buffer) (Series, error) { return ReadCSV(b) },
+			func(b *bytes.Buffer) (Series, error) { return readCSV(b) },
 			recordSeries(t, 7, 4, 9), true},
 	}
 	for _, tc := range cases {
@@ -313,7 +313,7 @@ func TestRecorderValidation(t *testing.T) {
 // TestCSVHeaderMismatch checks that a CSV with a foreign header is
 // rejected rather than misparsed.
 func TestCSVHeaderMismatch(t *testing.T) {
-	_, err := ReadCSV(strings.NewReader("a,b,c\n1,2,3\n"))
+	_, err := readCSV(strings.NewReader("a,b,c\n1,2,3\n"))
 	if err == nil || !strings.Contains(err.Error(), "header") {
 		t.Fatalf("want header mismatch error, got %v", err)
 	}

@@ -38,10 +38,15 @@ const (
 
 // Config selects one system configuration.
 type Config struct {
-	// Policy, Org, Threshold and CIPEntries configure the L4 (see dcache).
-	Policy     dcache.Policy
-	Org        dcache.Org
-	Threshold  int
+	// Policy is the L4 DRAM cache's compression/indexing policy.
+	Policy dcache.Policy
+	// Org is the L4 tag organization (Alloy or KNL).
+	Org dcache.Org
+	// Threshold is the DICE BAI-insertion threshold in bytes
+	// (0 = dcache.DefaultThreshold).
+	Threshold int
+	// CIPEntries sizes the CIP Last-Time Table
+	// (0 = dcache.DefaultCIPEntries).
 	CIPEntries int
 
 	// ScaleShift scales the whole system to 1/2^shift of the paper's
@@ -50,13 +55,15 @@ type Config struct {
 	// Default 10 (1GB -> 1MB).
 	ScaleShift uint
 
-	// CapacityMult (1 or 2) doubles L4 sets; BWMult (1 or 2) doubles L4
-	// channels; HalfLatency halves L4 DRAM timing — the idealized knobs
-	// of Figure 1(f) and Table 8.
+	// CapacityMult (1 or 2) multiplies the L4's sets. With BWMult and
+	// HalfLatency it forms the idealized knobs of Figure 1(f) and Table 8.
 	CapacityMult int
-	BWMult       int
-	HalfLatency  bool
+	// BWMult (1 or 2) multiplies the L4's channels.
+	BWMult int
+	// HalfLatency halves the L4 DRAM timing.
+	HalfLatency bool
 
+	// Prefetch selects the L3 prefetcher of Table 7 (default none).
 	Prefetch PrefetchMode
 
 	// CompressAlg restricts the cache's compression algorithm for the
@@ -148,28 +155,40 @@ func (c Config) Validate() error {
 
 // Result reports one run.
 type Result struct {
+	// Workload is the name of the workload that ran.
 	Workload string
-	Config   Config
+	// Config is the configuration the run used.
+	Config Config
 
 	// IPC per core over the measured window; the weighted-speedup inputs.
 	IPC []float64
 	// Cycles is the measured-window length (max core finish - warm start).
 	Cycles uint64
 
-	L3  cache.Stats
-	L4  dcache.Stats
+	// L3 holds the shared SRAM L3's statistics over the measured window.
+	L3 cache.Stats
+	// L4 holds the DRAM cache's statistics over the measured window.
+	L4 dcache.Stats
+	// HBM holds the L4's stacked-DRAM channel statistics.
 	HBM dram.Stats
+	// DDR holds the off-package main-memory channel statistics.
 	DDR dram.Stats
 
-	Energy         energy.Breakdown
-	CIPAccuracy    float64
+	// Energy is the memory-system energy breakdown of the run.
+	Energy energy.Breakdown
+	// CIPAccuracy is the fraction of scored CIP index predictions that
+	// were correct.
+	CIPAccuracy float64
+	// CIPPredictions is the number of scored CIP predictions.
 	CIPPredictions uint64
-	MAPIAccuracy   float64
+	// MAPIAccuracy is the fraction of MAP-I L4 hit/miss predictions that
+	// were correct.
+	MAPIAccuracy float64
 	// Fault reports injected/corrected/detected/silent fault activity over
-	// the measured window (all zero when fault injection is off);
-	// QuarantinedSets is the number of L4 sets quarantined to uncompressed
-	// storage by the end of the run.
-	Fault           fault.Stats
+	// the measured window (all zero when fault injection is off).
+	Fault fault.Stats
+	// QuarantinedSets is the number of L4 sets quarantined to
+	// uncompressed storage by the end of the run.
 	QuarantinedSets int
 	// EffCapacity is the average L4 effective-capacity multiplier sampled
 	// over the measured window (Table 5).
@@ -303,14 +322,11 @@ func Run(cfg Config, w workloads.Workload) (Result, error) {
 // with or without an observer, which the determinism tests enforce. A
 // nil observer makes RunObserved exactly Run.
 //
-// The simulation executes on the process-selected core (SetCoreKind):
-// the discrete-event scheduler by default, or the cycle-stepped
-// reference. Both produce byte-identical Results and epoch exports for
-// every (cfg, w) — the differential tests enforce it.
+// The simulation executes on the discrete-event scheduler; its Results
+// and epoch exports are byte-identical to the cycle-stepped reference's
+// (RunReferenceObserved) for every (cfg, w) — the differential tests
+// enforce it.
 func RunObserved(cfg Config, w workloads.Workload, ob *obs.Observer) (Result, error) {
-	if CurrentCoreKind() == CoreCycle {
-		return RunReferenceObserved(cfg, w, ob)
-	}
 	res, _, err := RunEventObserved(cfg, w, ob)
 	return res, err
 }

@@ -11,15 +11,11 @@ import (
 // TestSharedSizeTablesAreInvisible pins the process-wide size tables to
 // per-run semantics: a cell run on cold tables, the same cell run after
 // other cells (its own algorithm's and the other algorithms') have
-// filled its workload's tables, and the cell run with the artifact cache
-// (and so table sharing) disabled give byte-identical Results — for
-// every compression algorithm, on a synthetic mix and on a GAP workload
-// whose cores share one table.
+// filled its workload's tables give byte-identical Results — for every
+// compression algorithm, on a synthetic mix and on a GAP workload whose
+// cores share one table.
 func TestSharedSizeTablesAreInvisible(t *testing.T) {
-	t.Cleanup(func() {
-		workloads.DropCache()
-		workloads.SetCacheEnabled(true)
-	})
+	t.Cleanup(workloads.DropCache)
 	algs := []string{"", "fpc", "bdi"}
 	cell := func(alg string, pol dcache.Policy, threshold int) Config {
 		return Config{Policy: pol, Threshold: threshold, CompressAlg: alg, ScaleShift: 12, RefsPerCore: 3000}
@@ -52,12 +48,5 @@ func TestSharedSizeTablesAreInvisible(t *testing.T) {
 				t.Fatalf("%s/%q: cell on filled tables differs from cold:\n%+v\n%+v", name, alg, got, cold[alg])
 			}
 		}
-		workloads.SetCacheEnabled(false)
-		for _, alg := range algs {
-			if got := run(cell(alg, dcache.PolicyDICE, 24)); !reflect.DeepEqual(got, cold[alg]) {
-				t.Fatalf("%s/%q: cell without the artifact cache differs from cold:\n%+v\n%+v", name, alg, got, cold[alg])
-			}
-		}
-		workloads.SetCacheEnabled(true)
 	}
 }

@@ -135,9 +135,9 @@ func (w Workload) buildArtifacts(scaleShift uint) *Artifacts {
 }
 
 // artifactKey identifies one cache entry. Workload names are unique
-// within the catalog; callers constructing ad-hoc Workload values that
-// reuse a cataloged name must disable the cache (SetCacheEnabled) or the
-// cataloged build will shadow theirs.
+// within the catalog; callers constructing ad-hoc Workload values must
+// give them a distinct name, or the cataloged build of that name will
+// shadow theirs.
 type artifactKey struct {
 	name       string
 	scaleShift uint
@@ -157,21 +157,9 @@ var (
 	cacheMu      sync.Mutex
 	cacheEntries = map[artifactKey]*artifactEntry{}
 
-	cacheOn     atomic.Bool
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 )
-
-func init() { cacheOn.Store(true) }
-
-// SetCacheEnabled turns the process-wide artifact cache on or off. It is
-// on by default; off forces every Build back to cold construction (the
-// -artifact-cache=off escape hatch). Disabling does not drop entries
-// already built — re-enabling serves them again.
-func SetCacheEnabled(on bool) { cacheOn.Store(on) }
-
-// CacheEnabled reports whether Build serves from the artifact cache.
-func CacheEnabled() bool { return cacheOn.Load() }
 
 // CacheStats returns the artifact cache's lifetime hit and miss
 // counters. A miss is a cold build performed (and stored) by this
@@ -234,25 +222,18 @@ func cachedArtifacts(w Workload, scaleShift uint) *Artifacts {
 // Warm ensures the artifacts for (w, scaleShift) are built and cached,
 // blocking until they are. Experiment runners call it for each distinct
 // workload before fanning out the config matrix, so workers never
-// duplicate a graph build racing on a cold cache. No-op (cold Build
-// semantics apply later) when the cache is disabled.
+// duplicate a graph build racing on a cold cache.
 func (w Workload) Warm(scaleShift uint) {
-	if !CacheEnabled() {
-		return
-	}
 	cachedArtifacts(w, scaleShift)
 }
 
 // Build instantiates the workload's cores at 1/2^scaleShift of full
 // scale. GAP workloads build their graph and kernel trace once and share
-// it across cores (rate mode runs identical copies). With the artifact
-// cache enabled (the default) the expensive build products are further
-// shared process-wide across every Build of the same (name, scaleShift)
-// — each call still returns fresh, independent generator state, so
-// results are byte-identical either way.
+// it across cores (rate mode runs identical copies), and the artifact
+// cache further shares the expensive build products process-wide across
+// every Build of the same (name, scaleShift) — each call still returns
+// fresh, independent generator state, so results are byte-identical to
+// a cold build's.
 func (w Workload) Build(scaleShift uint) []Instance {
-	if CacheEnabled() {
-		return cachedArtifacts(w, scaleShift).Instantiate()
-	}
-	return w.buildArtifacts(scaleShift).Instantiate()
+	return cachedArtifacts(w, scaleShift).Instantiate()
 }

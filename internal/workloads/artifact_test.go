@@ -9,17 +9,13 @@ import (
 // exercising the real graph/kernel path.
 const testScale = 12
 
-// withColdCache runs the test against an empty, enabled cache and
-// restores the enabled-by-default state afterwards (the cache is
-// process-global, so tests must not leak entries or toggles).
+// withColdCache runs the test against an empty cache and empties it
+// again afterwards (the cache is process-global, so tests must not leak
+// entries).
 func withColdCache(t *testing.T) {
 	t.Helper()
 	DropCache()
-	SetCacheEnabled(true)
-	t.Cleanup(func() {
-		DropCache()
-		SetCacheEnabled(true)
-	})
+	t.Cleanup(DropCache)
 }
 
 // drain pulls n requests from an instance's generator.
@@ -69,8 +65,9 @@ func assertSameStreams(t *testing.T, a, b []Instance) {
 }
 
 // TestCachedBuildMatchesCold: a Build served from the artifact cache is
-// observably identical to a cold build, for both a GAP workload (shared
-// graph artifacts) and a synthetic SPEC workload.
+// observably identical to a cold build (buildArtifacts, which bypasses
+// the cache), for both a GAP workload (shared graph artifacts) and a
+// synthetic SPEC workload.
 func TestCachedBuildMatchesCold(t *testing.T) {
 	withColdCache(t)
 	for _, name := range []string{"cc_twi", "gcc"} {
@@ -78,21 +75,17 @@ func TestCachedBuildMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetCacheEnabled(false)
-		cold := w.Build(testScale)
-		SetCacheEnabled(true)
+		cold := w.buildArtifacts(testScale).Instantiate()
 		warmA := w.Build(testScale) // miss: builds the entry
 		warmB := w.Build(testScale) // hit: shares it
 		assertSameStreams(t, cold, warmA)
-		SetCacheEnabled(false)
-		cold2 := w.Build(testScale)
-		SetCacheEnabled(true)
+		cold2 := w.buildArtifacts(testScale).Instantiate()
 		assertSameStreams(t, cold2, warmB)
 	}
 }
 
 // TestCacheCounters: misses count cold builds, hits count served Builds,
-// distinct scales are distinct entries, and disabling bypasses both.
+// and distinct scales are distinct entries.
 func TestCacheCounters(t *testing.T) {
 	withColdCache(t)
 	w, err := ByName("cc_twi")
@@ -104,15 +97,6 @@ func TestCacheCounters(t *testing.T) {
 	w.Build(testScale + 1)
 	if h, m := CacheStats(); h != 1 || m != 2 {
 		t.Fatalf("hits, misses = %d, %d; want 1, 2", h, m)
-	}
-	SetCacheEnabled(false)
-	w.Build(testScale)
-	if h, m := CacheStats(); h != 1 || m != 2 {
-		t.Fatalf("disabled Build touched the cache: hits, misses = %d, %d", h, m)
-	}
-	SetCacheEnabled(true)
-	if !CacheEnabled() {
-		t.Fatal("CacheEnabled did not reflect SetCacheEnabled")
 	}
 	w.Warm(testScale)
 	if h, m := CacheStats(); h != 2 || m != 2 {
@@ -201,15 +185,16 @@ func TestInstantiateIndependentState(t *testing.T) {
 
 // BenchmarkBuildCold measures the full artifact construction of one GAP
 // workload — the cost the cache amortizes across an experiment matrix.
+// The cache is dropped before every Build, so each one is a miss.
 func BenchmarkBuildCold(b *testing.B) {
 	w, err := ByName("cc_twi")
 	if err != nil {
 		b.Fatal(err)
 	}
-	SetCacheEnabled(false)
-	defer SetCacheEnabled(true)
+	b.Cleanup(DropCache)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		DropCache()
 		w.Build(testScale)
 	}
 }
@@ -221,7 +206,6 @@ func BenchmarkBuildWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	SetCacheEnabled(true)
 	w.Warm(testScale)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -72,18 +72,26 @@ type gapKernel struct {
 
 // Workload is one 8-core experiment unit.
 type Workload struct {
-	Name  string
+	// Name is the catalog name (e.g. "mcf", "mix1", "cc_twi"); it keys
+	// the artifact cache, so ad-hoc workloads need a distinct one.
+	Name string
+	// Suite is the aggregation group the workload reports under.
 	Suite Suite
+	// Cores holds the per-core loads, one per simulated core.
 	Cores []CoreLoad
 }
 
 // Instance is a built, runnable per-core load: a request generator over a
 // private virtual line space plus the data image behind it.
 type Instance struct {
-	Name           string
-	MPKI           float64
+	// Name is the benchmark name of the core's load.
+	Name string
+	// MPKI is the load's L3 misses per kilo-instruction.
+	MPKI float64
+	// FootprintLines is the size of the core's virtual line space.
 	FootprintLines uint64
-	Gen            trace.Generator
+	// Gen is this instance's private request generator.
+	Gen trace.Generator
 	// Data returns the 64 bytes of a virtual line.
 	Data func(line uint64) []byte
 	// Sizes memoizes the compressed sizes of the data image's lines. It
