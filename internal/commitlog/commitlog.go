@@ -35,7 +35,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 )
 
 // crcTable is the Castagnoli table shared by every framed line (the
@@ -44,40 +43,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrClosed is returned by appends issued after Close.
 var ErrClosed = errors.New("commitlog: log is closed")
-
-// Options are the group-commit tunables. The zero value is the
-// recommended configuration: commit as soon as the committer is free,
-// so a lone appender pays one uncontended fsync and concurrent
-// appenders batch naturally behind the sync in progress.
-type Options struct {
-	// MaxBatchBytes bounds how many framed bytes one commit batch may
-	// accumulate before the committer is forced to flush regardless of
-	// linger (default 1 MiB). Larger batches amortize further; the
-	// bound keeps a flood's commit units — and the write the kernel
-	// must sync — from growing without limit.
-	MaxBatchBytes int
-	// MaxLinger is how long the committer waits after the first
-	// enqueue of a batch for more appenders to join it (default 0:
-	// never wait — batching comes only from appends arriving while a
-	// sync is in flight, which keeps the uncontended append latency at
-	// exactly one fsync). A small positive linger trades that latency
-	// for bigger batches on bursty workloads.
-	MaxLinger time.Duration
-	// NoGroupCommit selects the pre-batching reference behavior: every
-	// append performs its own write+fsync under a mutex, exactly the
-	// fsync-per-append discipline this package replaced. It exists for
-	// A/B measurement (cmd/perfbench, the bench-smoke regression
-	// guard), not production use.
-	NoGroupCommit bool
-}
-
-// withDefaults resolves zero fields to their documented defaults.
-func (o Options) withDefaults() Options {
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 1 << 20
-	}
-	return o
-}
 
 // syncFile is the slice of *os.File the committer needs; tests inject
 // failing implementations through newWithFile.
@@ -145,8 +110,6 @@ func Resolved(err error) Ticket { return Ticket{err: err} }
 
 // Log is the append handle. Safe for concurrent use.
 type Log struct {
-	opt Options
-
 	mu      sync.Mutex
 	f       syncFile
 	pending []byte       // framed records awaiting the next commit
@@ -158,7 +121,6 @@ type Log struct {
 	stats   Stats
 
 	wake chan struct{} // buffered(1): pending work for the committer
-	full chan struct{} // buffered(1): MaxBatchBytes reached, stop lingering
 	quit chan struct{}
 	done chan struct{} // committer exited
 }
@@ -179,7 +141,7 @@ type Replay struct {
 // decode: the line and everything after it are treated as the torn
 // tail, mirroring a CRC mismatch. A nil apply accepts every valid
 // frame.
-func Open(path string, opt Options, apply func(payload []byte) bool) (*Log, Replay, error) {
+func Open(path string, apply func(payload []byte) bool) (*Log, Replay, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, Replay{}, fmt.Errorf("commitlog: %w", err)
@@ -200,23 +162,19 @@ func Open(path string, opt Options, apply func(payload []byte) bool) (*Log, Repl
 		f.Close()
 		return nil, Replay{}, fmt.Errorf("commitlog: %w", err)
 	}
-	return newWithFile(f, opt), rep, nil
+	return newWithFile(f), rep, nil
 }
 
 // newWithFile builds a running Log over an already-positioned file;
 // the exported path in is Open, tests inject failing files here.
-func newWithFile(f syncFile, opt Options) *Log {
+func newWithFile(f syncFile) *Log {
 	l := &Log{
 		f:    f,
-		opt:  opt.withDefaults(),
 		wake: make(chan struct{}, 1),
-		full: make(chan struct{}, 1),
 		quit: make(chan struct{}),
+		done: make(chan struct{}),
 	}
-	if !l.opt.NoGroupCommit {
-		l.done = make(chan struct{})
-		go l.commitLoop()
-	}
+	go l.commitLoop()
 	return l
 }
 
@@ -291,9 +249,8 @@ func (l *Log) Append(payload []byte) error {
 
 // Enqueue frames payload and stakes its place in file order, returning
 // a Ticket that resolves when the batch containing it has been synced.
-// Enqueue itself never blocks on I/O (NoGroupCommit mode excepted),
-// so callers may enqueue under locks that must not wait out an fsync
-// and Wait after releasing them.
+// Enqueue itself never blocks on I/O, so callers may enqueue under
+// locks that must not wait out an fsync and Wait after releasing them.
 func (l *Log) Enqueue(payload []byte) Ticket {
 	line := Frame(payload)
 	l.mu.Lock()
@@ -306,44 +263,23 @@ func (l *Log) Enqueue(payload []byte) Ticket {
 		l.mu.Unlock()
 		return Ticket{err: err}
 	}
-	if l.opt.NoGroupCommit {
-		// Reference mode: the old discipline, one write+fsync per
-		// record under the lock.
-		var err error
-		if _, err = l.f.Write(line); err == nil {
-			err = l.f.Sync()
-		}
-		if err != nil {
-			l.broken = err
-		} else {
-			l.stats.observeBatch(1, len(line))
-		}
-		l.mu.Unlock()
-		return Ticket{err: err}
-	}
 	l.pending = append(l.pending, line...)
 	l.records++
 	ch := make(chan error, 1)
 	l.waiters = append(l.waiters, ch)
-	notifyFull := len(l.pending) >= l.opt.MaxBatchBytes
 	l.mu.Unlock()
 
 	select {
 	case l.wake <- struct{}{}:
 	default:
 	}
-	if notifyFull {
-		select {
-		case l.full <- struct{}{}:
-		default:
-		}
-	}
 	return Ticket{ch: ch}
 }
 
 // commitLoop is the committer goroutine: it sleeps until records are
-// pending, optionally lingers for batch-mates, then commits the whole
-// queue with one write and one fsync.
+// pending, then commits the whole queue with one write and one fsync.
+// A batch is therefore whatever was enqueued while the previous sync
+// was in flight.
 func (l *Log) commitLoop() {
 	defer close(l.done)
 	for {
@@ -352,15 +288,6 @@ func (l *Log) commitLoop() {
 		case <-l.quit:
 			l.commit() // drain whatever Close raced in
 			return
-		}
-		if l.opt.MaxLinger > 0 {
-			t := time.NewTimer(l.opt.MaxLinger)
-			select {
-			case <-t.C:
-			case <-l.full:
-			case <-l.quit:
-			}
-			t.Stop()
 		}
 		l.commit()
 	}
@@ -426,10 +353,8 @@ func (l *Log) Close() error {
 	broken := l.broken
 	l.mu.Unlock()
 
-	if l.done != nil {
-		close(l.quit)
-		<-l.done
-	}
+	close(l.quit)
+	<-l.done
 	var syncErr error
 	if broken == nil {
 		// The final defensive sync; the committer already synced every

@@ -13,10 +13,10 @@ import (
 
 // collect opens the log at path and returns the replayed payloads as
 // strings alongside the replay summary.
-func collect(t *testing.T, path string, opt Options) (*Log, []string, Replay) {
+func collect(t *testing.T, path string) (*Log, []string, Replay) {
 	t.Helper()
 	var got []string
-	l, rep, err := Open(path, opt, func(payload []byte) bool {
+	l, rep, err := Open(path, func(payload []byte) bool {
 		got = append(got, string(payload))
 		return true
 	})
@@ -29,7 +29,7 @@ func collect(t *testing.T, path string, opt Options) (*Log, []string, Replay) {
 // Appended payloads replay intact, in file order, across close/reopen.
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	l, _, err := Open(path, Options{}, nil)
+	l, _, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, got, rep := collect(t, path, Options{})
+	l2, got, rep := collect(t, path)
 	defer l2.Close()
 	if rep.TruncatedBytes != 0 || rep.Records != 3 {
 		t.Fatalf("replay = %+v", rep)
@@ -63,7 +63,7 @@ func TestRoundTrip(t *testing.T) {
 // truncated; appends afterwards extend a valid file.
 func TestTornTailTruncation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	l, _, err := Open(path, Options{}, nil)
+	l, _, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestTornTailTruncation(t *testing.T) {
 	f.WriteString(`deadbeef {"to`)
 	f.Close()
 
-	l2, got, rep := collect(t, path, Options{})
+	l2, got, rep := collect(t, path)
 	if rep.TruncatedBytes == 0 || rep.Records != 1 || len(got) != 1 {
 		t.Fatalf("torn replay = %+v, %v", rep, got)
 	}
@@ -88,7 +88,7 @@ func TestTornTailTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.Close()
-	l3, got3, rep3 := collect(t, path, Options{})
+	l3, got3, rep3 := collect(t, path)
 	defer l3.Close()
 	if rep3.TruncatedBytes != 0 || len(got3) != 2 {
 		t.Fatalf("post-truncation replay = %+v, %v", rep3, got3)
@@ -99,7 +99,7 @@ func TestTornTailTruncation(t *testing.T) {
 // apply rejects — ends the trusted prefix.
 func TestCorruptAndRejectedLinesEndPrefix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	l, _, err := Open(path, Options{}, nil)
+	l, _, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestCorruptAndRejectedLinesEndPrefix(t *testing.T) {
 	if err := os.WriteFile(path, []byte(lines[0]+string(mid)+lines[2]), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, got, rep := collect(t, path, Options{})
+	l2, got, rep := collect(t, path)
 	l2.Close()
 	if len(got) != 1 || rep.TruncatedBytes == 0 {
 		t.Fatalf("corrupt-middle replay kept %v (%+v)", got, rep)
@@ -129,7 +129,7 @@ func TestCorruptAndRejectedLinesEndPrefix(t *testing.T) {
 	// Rebuild a clean 3-record file, then reject the second payload
 	// from apply: same longest-valid-prefix outcome.
 	os.Remove(path)
-	l3, _, err := Open(path, Options{}, nil)
+	l3, _, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCorruptAndRejectedLinesEndPrefix(t *testing.T) {
 	}
 	l3.Close()
 	n := 0
-	l4, rep4, err := Open(path, Options{}, func(payload []byte) bool {
+	l4, rep4, err := Open(path, func(payload []byte) bool {
 		n++
 		return n < 2
 	})
@@ -177,7 +177,7 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := newWithFile(&slowFile{f: f, delay: 2 * time.Millisecond}, Options{})
+	l := newWithFile(&slowFile{f: f, delay: 2 * time.Millisecond})
 	const workers, per = 64, 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -216,7 +216,7 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 
 	// Replay: all records present, each goroutine's order preserved.
 	seen := map[int]int{} // worker -> next expected i
-	_, rep, err := Open(path, Options{}, func(payload []byte) bool {
+	_, rep, err := Open(path, func(payload []byte) bool {
 		var w, i int
 		if _, err := fmt.Sscanf(string(payload), `{"w":%d,"i":%d}`, &w, &i); err != nil {
 			t.Fatalf("bad payload %q", payload)
@@ -269,7 +269,7 @@ func (f *failFile) Close() error {
 // goes sticky-broken so later appends fail fast.
 func TestSyncFailureFailsWholeBatch(t *testing.T) {
 	ff := &failFile{failFrom: 1}
-	l := newWithFile(ff, Options{})
+	l := newWithFile(ff)
 	const n = 16
 	// Enqueue the whole batch before any Wait: with the committer
 	// blocked behind the enqueues' wake signal, all n records land in
@@ -295,7 +295,7 @@ func TestSyncFailureFailsWholeBatch(t *testing.T) {
 // Close must report BOTH a failed sync and a failed close, joined —
 // the close error used to be discarded.
 func TestCloseJoinsSyncAndCloseErrors(t *testing.T) {
-	l := newWithFile(&failFile{failFrom: 1, failClose: true}, Options{})
+	l := newWithFile(&failFile{failFrom: 1, failClose: true})
 	err := l.Close()
 	if !errors.Is(err, errSyncBroken) {
 		t.Fatalf("Close() = %v, want the sync error reported", err)
@@ -308,61 +308,11 @@ func TestCloseJoinsSyncAndCloseErrors(t *testing.T) {
 	}
 }
 
-// NoGroupCommit is the reference discipline: one sync per append.
-func TestNoGroupCommitSyncsEveryAppend(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	l, _, err := Open(path, Options{NoGroupCommit: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := l.Append(fmt.Appendf(nil, `{"i":%d}`, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := l.Stats()
-	if st.Appends != 5 || st.Syncs != 5 || st.MaxBatchRecords != 1 {
-		t.Fatalf("reference mode stats = %+v", st)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, got, rep := collect(t, path, Options{})
-	if len(got) != 5 || rep.TruncatedBytes != 0 {
-		t.Fatalf("replay = %v, %+v", got, rep)
-	}
-}
-
-// MaxLinger holds the committer for batch-mates: two enqueues inside
-// the window share one sync.
-func TestLingerGathersBatchMates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	l, _, err := Open(path, Options{MaxLinger: 50 * time.Millisecond}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1 := l.Enqueue([]byte(`{"a":1}`))
-	t2 := l.Enqueue([]byte(`{"b":2}`))
-	if err := t1.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	st := l.Stats()
-	if st.Appends != 2 || st.Syncs > 2 {
-		t.Fatalf("linger stats = %+v", st)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Appends racing Close either complete durably or fail with ErrClosed
 // — never hang, never get a false ack.
 func TestCloseDrainsPendingBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	l, _, err := Open(path, Options{}, nil)
+	l, _, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,11 +332,58 @@ func TestCloseDrainsPendingBatch(t *testing.T) {
 			t.Fatalf("ticket %d: %v", i, err)
 		}
 	}
-	_, got, _ := collect(t, path, Options{})
+	_, got, _ := collect(t, path)
 	if len(got) != acked {
 		t.Fatalf("%d records on disk, %d acknowledged", len(got), acked)
 	}
 	if err := l.Append([]byte(`{"late":1}`)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
+	}
+}
+
+// appendPayload is BenchmarkAppend's record: the size class of a
+// typical journal submit record.
+var appendPayload = []byte(`{"t":"submit","id":"j1","seq":1,"spec":{"experiments":["fig10"],"refs":60000}}`)
+
+// BenchmarkAppend measures durable append throughput with 1 and 64
+// concurrent appenders on one log. One op is one acknowledged append.
+// A lone appender pays one uncontended fsync per append, the floor
+// group commit cannot beat; at 64 the committer batches everything
+// queued behind the sync in flight, so the ns/op ratio of the two is
+// the fsync amortization factor on the machine at hand.
+func BenchmarkAppend(b *testing.B) {
+	for _, appenders := range []int{1, 64} {
+		b.Run(fmt.Sprintf("appenders-%d", appenders), func(b *testing.B) {
+			l, _, err := Open(filepath.Join(b.TempDir(), "bench.log"), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < appenders; w++ {
+				// Spread b.N appends over the appenders; the first
+				// b.N%appenders take one extra.
+				per := b.N / appenders
+				if w < b.N%appenders {
+					per++
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						if err := l.Append(appendPayload); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			if err := l.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -41,18 +41,6 @@ type Config struct {
 	// JournalPath is the crash-safe job journal ("" = no persistence:
 	// jobs live only in memory and a restart forgets them).
 	JournalPath string
-	// JournalBatchBytes bounds one journal group-commit batch (default
-	// 1 MiB; see commitlog.Options.MaxBatchBytes).
-	JournalBatchBytes int
-	// JournalLinger is how long the journal committer waits for
-	// batch-mates after the first enqueue of a batch (default 0: commit
-	// immediately; batching comes from appends arriving while a sync is
-	// in flight — see commitlog.Options.MaxLinger).
-	JournalLinger time.Duration
-	// JournalNoGroupCommit selects the reference fsync-per-append
-	// journal discipline. For A/B measurement (perfbench, bench-smoke),
-	// not production use.
-	JournalNoGroupCommit bool
 	// QueueCap bounds the number of queued-but-not-started jobs
 	// (default 64). Submissions beyond it fail with ErrQueueFull —
 	// the explicit backpressure signal — rather than growing memory.
@@ -99,6 +87,10 @@ type Config struct {
 	StreamBufferCap int
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
+
+	// openJournal opens JournalPath; nil means OpenJournal. The
+	// group-commit gate points it at the fsync-per-append reference.
+	openJournal func(path string) (*Journal, *Replay, error)
 }
 
 // Daemon is the experiment job daemon: a bounded queue feeding
@@ -218,11 +210,11 @@ func New(cfg Config) (*Daemon, *Replay, error) {
 		err     error
 	)
 	if cfg.JournalPath != "" {
-		journal, rep, err = OpenJournalWith(cfg.JournalPath, commitlog.Options{
-			MaxBatchBytes: cfg.JournalBatchBytes,
-			MaxLinger:     cfg.JournalLinger,
-			NoGroupCommit: cfg.JournalNoGroupCommit,
-		})
+		open := cfg.openJournal
+		if open == nil {
+			open = OpenJournal
+		}
+		journal, rep, err = open(cfg.JournalPath)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -44,7 +44,15 @@ type record struct {
 // enqueues a submit record before a start record gets them in that
 // order on disk.
 type Journal struct {
-	log *commitlog.Log
+	log journalLog
+}
+
+// journalLog is the slice of *commitlog.Log the journal uses: the seam
+// through which tests substitute the fsync-per-append reference.
+type journalLog interface {
+	Enqueue(payload []byte) commitlog.Ticket
+	Stats() commitlog.Stats
+	Close() error
 }
 
 // Replay is what a journal file parses back into: the job table in
@@ -86,23 +94,16 @@ type ReplayJob struct {
 // Unfinished reports whether the job needs re-running after a restart.
 func (rj ReplayJob) Unfinished() bool { return !rj.Finished }
 
-// OpenJournal opens the journal at path with default group-commit
-// options; see OpenJournalWith.
+// OpenJournal opens (creating if absent) the journal at path, replays
+// its valid prefix, truncates any torn tail, and returns the handle
+// positioned for appending plus the replayed job table.
 func OpenJournal(path string) (*Journal, *Replay, error) {
-	return OpenJournalWith(path, commitlog.Options{})
-}
-
-// OpenJournalWith opens (creating if absent) the journal at path,
-// replays its valid prefix, truncates any torn tail, and returns the
-// handle positioned for appending plus the replayed job table. opt
-// carries the group-commit tunables (Config.JournalBatchBytes etc.).
-func OpenJournalWith(path string, opt commitlog.Options) (*Journal, *Replay, error) {
 	var (
 		jobs []*ReplayJob
 		byID = map[string]*ReplayJob{}
 		rep  = &Replay{NextSeq: 1}
 	)
-	l, crep, err := commitlog.Open(path, opt, func(payload []byte) bool {
+	l, crep, err := commitlog.Open(path, func(payload []byte) bool {
 		var rec record
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return false

@@ -1,7 +1,8 @@
-// Package stats provides lightweight counters, histograms and ratio helpers
-// used by every component of the simulator. All types are plain values with
-// no locking: the simulator is single-goroutine by design (cycle-driven), so
-// the hot-path counter increments stay free of synchronization cost.
+// Package stats provides lightweight counters, named counter sets, and
+// ratio and mean helpers used by every component of the simulator. All
+// types are plain values with no locking: one simulation runs on one
+// goroutine by design, so the hot-path counter increments stay free of
+// synchronization cost.
 package stats
 
 import (
@@ -39,76 +40,6 @@ func (c Counter) Frac(total Counter) float64 {
 		return 0
 	}
 	return float64(c) / float64(total)
-}
-
-// Histogram is a fixed-bucket histogram over small non-negative integer
-// samples (e.g. compressed sizes 0..72, queue depths). Samples beyond the
-// last bucket are clamped into it.
-type Histogram struct {
-	Buckets []uint64
-	Count   uint64
-	Sum     uint64
-}
-
-// NewHistogram returns a histogram with buckets [0, n).
-func NewHistogram(n int) *Histogram {
-	return &Histogram{Buckets: make([]uint64, n)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v int) {
-	if v < 0 {
-		v = 0
-	}
-	if v >= len(h.Buckets) {
-		v = len(h.Buckets) - 1
-	}
-	h.Buckets[v]++
-	h.Count++
-	h.Sum += uint64(v)
-}
-
-// Mean returns the average observed sample.
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// FracAtMost returns the fraction of samples <= v.
-func (h *Histogram) FracAtMost(v int) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	if v >= len(h.Buckets) {
-		v = len(h.Buckets) - 1
-	}
-	var n uint64
-	for i := 0; i <= v; i++ {
-		n += h.Buckets[i]
-	}
-	return float64(n) / float64(h.Count)
-}
-
-// Percentile returns the smallest bucket index at which the cumulative
-// fraction of samples reaches p (0..1).
-func (h *Histogram) Percentile(p float64) int {
-	if h.Count == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p * float64(h.Count)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, b := range h.Buckets {
-		cum += b
-		if cum >= target {
-			return i
-		}
-	}
-	return len(h.Buckets) - 1
 }
 
 // Set is an ordered collection of named counters, useful for dumping

@@ -30,39 +30,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10)
-	for _, v := range []int{0, 1, 1, 5, 9, 20, -3} {
-		h.Observe(v)
-	}
-	if h.Count != 7 {
-		t.Fatalf("count = %d", h.Count)
-	}
-	// 20 clamps to 9, -3 clamps to 0.
-	if h.Buckets[9] != 2 || h.Buckets[0] != 2 {
-		t.Fatalf("clamping broken: %v", h.Buckets)
-	}
-	if m := h.Mean(); m != float64(0+1+1+5+9+9+0)/7 {
-		t.Fatalf("mean = %v", m)
-	}
-	if f := h.FracAtMost(1); math.Abs(f-4.0/7) > 1e-12 {
-		t.Fatalf("fracAtMost(1) = %v", f)
-	}
-	if f := h.FracAtMost(100); f != 1 {
-		t.Fatalf("fracAtMost(100) = %v", f)
-	}
-	if p := h.Percentile(0.5); p != 1 {
-		t.Fatalf("p50 = %d", p)
-	}
-	if p := h.Percentile(1.0); p != 9 {
-		t.Fatalf("p100 = %d", p)
-	}
-	empty := NewHistogram(4)
-	if empty.Mean() != 0 || empty.FracAtMost(2) != 0 || empty.Percentile(0.5) != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-}
-
 func TestSet(t *testing.T) {
 	s := NewSet()
 	s.Add("b", 2)
@@ -125,32 +92,6 @@ func TestQuickGeoMeanBounds(t *testing.T) {
 		return g >= lo-1e-9 && g <= hi+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: histogram count equals the number of observations and
-// FracAtMost is monotone.
-func TestQuickHistogramMonotone(t *testing.T) {
-	f := func(vals []uint8) bool {
-		h := NewHistogram(64)
-		for _, v := range vals {
-			h.Observe(int(v))
-		}
-		if h.Count != uint64(len(vals)) {
-			return false
-		}
-		prev := 0.0
-		for v := 0; v < 64; v++ {
-			f := h.FracAtMost(v)
-			if f < prev {
-				return false
-			}
-			prev = f
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
