@@ -61,7 +61,7 @@ bench:
 # then runs one GAP experiment matrix twice in-process and asserts the
 # second pass is served from the cache (workloads.CacheStats), guarding
 # against silent caching regressions. The event-core smoke (DICE_SMOKE=1
-# gates its wall-clock assertion out of plain `go test ./...`) asserts
+# gates its CPU-time assertion out of plain `go test ./...`) asserts
 # the discrete-event scheduler still beats the cycle-stepped reference
 # on the idle-heaviest catalog config, the golden-report run pins the
 # experiment bytes under the event core, and the group-commit guard

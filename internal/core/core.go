@@ -141,7 +141,9 @@ func New(cfg Config) *Cache {
 // ReadResult reports one lookup; see dcache.ReadResult.
 type ReadResult = dcache.ReadResult
 
-// InstallResult reports one fill; see dcache.InstallResult.
+// InstallResult reports one fill; see dcache.InstallResult. Its Victims
+// slice is reused by the cache: it is valid only until the next Install
+// or Writeback on the same Cache.
 type InstallResult = dcache.InstallResult
 
 // Victim is a displaced line; see dcache.Victim.

@@ -252,6 +252,10 @@ type Cache struct {
 	// iterated — so they cannot perturb determinism.
 	faultCount  map[uint64]uint8
 	quarantined map[uint64]bool
+
+	// victims is the scratch slice every install resets and returns as
+	// InstallResult.Victims, so fills do not allocate.
+	victims []Victim
 }
 
 // New builds a DRAM cache. It panics on invalid configuration.
@@ -730,7 +734,10 @@ type Victim struct {
 
 // InstallResult reports one fill or writeback-install.
 type InstallResult struct {
-	Done    uint64
+	Done uint64
+	// Victims lists the lines the fill displaced. It aliases a buffer
+	// the cache reuses: it is valid only until the next Install or
+	// Writeback on the same cache, so callers drain it at once.
 	Victims []Victim
 	// UsedBAI reports the index decision for non-invariant lines.
 	UsedBAI   bool
@@ -821,7 +828,7 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 	}
 
 	s := &c.sets[setIdx]
-	var victims []Victim
+	victims := c.victims[:0]
 
 	// Duplicate safety: an install always follows a lookup that proved
 	// absence, but a policy flip between lookup and install (sizes are
@@ -897,6 +904,7 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 		now = c.sccProbe(now, line)
 	}
 	done := c.access(now, setIdx, true)
+	c.victims = victims
 	return InstallResult{Done: done, Victims: victims, UsedBAI: usedBAI, Invariant: invariant}
 }
 

@@ -115,6 +115,24 @@ func TestBaselineDirectMappedConflict(t *testing.T) {
 	}
 }
 
+// Conflicting fills evict on every call; the victim list is a reused
+// buffer, so steady-state fills allocate nothing.
+func TestInstallVictimsDoNotAllocate(t *testing.T) {
+	c := newCache(PolicyUncompressed, 64, nil)
+	line := uint64(5)
+	c.Install(0, line, true)
+	allocs := testing.AllocsPerRun(100, func() {
+		line += 64 // same TSI set: evicts the previous fill
+		res := c.Install(0, line, true)
+		if len(res.Victims) != 1 || res.Victims[0] != (Victim{Line: line - 64, Dirty: true}) {
+			t.Fatalf("victims = %+v, want dirty line %d", res.Victims, line-64)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Install allocated %.1f times per call, want 0", allocs)
+	}
+}
+
 func TestTSICompressionCapacity(t *testing.T) {
 	data := newTestData()
 	// Lines 0 and 64 map to the same TSI set (sets=64); both compress to

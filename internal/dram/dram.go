@@ -136,17 +136,18 @@ type span struct{ start, end uint64 }
 // channel tracks one channel's bus and queue occupancy.
 type channel struct {
 	banks []bank
-	// busy holds the channel bus's reserved transfer windows in a fixed
-	// ring of the most recent busWindow reservations, sorted by start
-	// time. Transfers are scheduled into the earliest idle gap at or
-	// after their data-ready time (a data bus serves whatever is ready,
-	// not arrival order). Reservations are disjoint and durations are
-	// positive, so the windows are sorted by end time too — which is
-	// what lets reserveBus skip the already-elapsed prefix with a
-	// binary search instead of a rescan.
-	busy     [busWindow]span
-	busyHead int
-	busyLen  int
+	// busy[lo:hi] holds the channel bus's most recent busWindow
+	// reservations, sorted by start time. Transfers are scheduled into
+	// the earliest idle gap at or after their data-ready time (a data
+	// bus serves whatever is ready, not arrival order). Reservations are
+	// disjoint and durations are positive, so the windows are sorted by
+	// end time too — which is what lets reserveBus skip the
+	// already-elapsed prefix with a binary search instead of a rescan.
+	// The backing array is twice the window: dropping the oldest span
+	// advances lo, and only when hi reaches the end is the window
+	// compacted back to the front with one copy.
+	busy   [2 * busWindow]span
+	lo, hi int
 	// queue holds completion times of in-flight requests, a ring used to
 	// model the finite read/write queue of Table 2. The backing arrays
 	// are padded to a power of two so every wraparound is a mask
@@ -156,153 +157,133 @@ type channel struct {
 	head     int
 	count    int
 	ringMask int
-	// minq is a monotonic min-deque over the completion times currently
-	// in queue (a ring of the same capacity, values nondecreasing from
-	// front to back, front == minimum). Maintained in O(1) amortized by
-	// every queue push/pop, it gives InFlight its fast path: when the
-	// probe time is before the earliest completion, every queued request
-	// is still in flight and the answer is count, no scan.
-	minq     []uint64
-	minqHead int
-	minqLen  int
 }
 
-// busWindow bounds the per-channel reservation history. Power of two:
-// ring positions wrap with a mask.
+// busWindow bounds the per-channel reservation history.
 const busWindow = 64
 
-// busAt returns the i-th oldest busy span (0 <= i < busyLen).
-func (ch *channel) busAt(i int) span {
-	return ch.busy[(ch.busyHead+i)&(busWindow-1)]
+// window returns the retained reservations, oldest first.
+func (ch *channel) window() []span { return ch.busy[ch.lo:ch.hi] }
+
+// makeRoom compacts the window to the front of the backing array when
+// it has reached the end, so one more span fits after hi.
+func (ch *channel) makeRoom() {
+	if ch.hi == len(ch.busy) {
+		ch.hi = copy(ch.busy[:], ch.busy[ch.lo:ch.hi])
+		ch.lo = 0
+	}
 }
 
 // busPush appends a span after every existing reservation, dropping the
 // oldest when the window is full.
 func (ch *channel) busPush(b span) {
-	if ch.busyLen == busWindow {
-		ch.busyHead = (ch.busyHead + 1) & (busWindow - 1)
-		ch.busyLen--
+	if ch.hi-ch.lo == busWindow {
+		ch.lo++
 	}
-	ch.busy[(ch.busyHead+ch.busyLen)&(busWindow-1)] = b
-	ch.busyLen++
+	ch.makeRoom()
+	ch.busy[ch.hi] = b
+	ch.hi++
 }
 
-// busInsert places a span before the current position i, keeping start
-// order. When the window is full the oldest reservation is dropped
-// first — and an insert at position 0 of a full window drops the new
-// span itself, reproducing the bounded-history semantics of the
-// original slice implementation (insert, then trim to the newest
-// busWindow entries).
+// busInsert places a span before window position i (0 <= i < len),
+// keeping start order, and reproduces the bounded-history semantics of
+// the original slice implementation: insert, then trim to the newest
+// busWindow entries. On a full window an insert at position 0 is
+// therefore dropped at once, and any other insert drops the oldest
+// span. Whichever side of i is shorter moves, with one copy: the
+// spans before i shift left over the dropped head, or the spans from i
+// on shift right and the head is dropped by advancing lo. The window
+// never shrinks once full, so a window that is not full has lo == 0 and
+// only the right shift applies.
 func (ch *channel) busInsert(i int, b span) {
-	if ch.busyLen == busWindow {
+	n := ch.hi - ch.lo
+	if n == busWindow {
 		if i == 0 {
 			return // trimmed away immediately: oldest of 65 is the new span
 		}
-		ch.busyHead = (ch.busyHead + 1) & (busWindow - 1)
-		ch.busyLen--
-		i--
+		if i-1 <= n-i {
+			w := ch.busy[ch.lo : ch.lo+i]
+			copy(w, w[1:])
+			w[i-1] = b
+			return
+		}
+		ch.lo++
 	}
-	for j := ch.busyLen; j > i; j-- {
-		ch.busy[(ch.busyHead+j)&(busWindow-1)] = ch.busy[(ch.busyHead+j-1)&(busWindow-1)]
-	}
-	ch.busy[(ch.busyHead+i)&(busWindow-1)] = b
-	ch.busyLen++
+	ch.makeRoom()
+	at := ch.hi - (n - i) // absolute index of window position i
+	copy(ch.busy[at+1:ch.hi+1], ch.busy[at:ch.hi])
+	ch.busy[at] = b
+	ch.hi++
 }
 
 // reserveBus books the first idle window of length dur at or after
 // earliest and returns its start time.
 //
-// Two fast paths cover almost every call: a transfer that becomes ready
-// after every recorded reservation appends in O(1), and one that lands
-// amid the reserved history binary-searches the first window still
-// relevant to it (windows are sorted by end time) instead of rescanning
-// the elapsed prefix. Only the walk across still-overlapping windows —
-// bounded by busWindow, typically one or two iterations — remains.
+// A transfer that becomes ready after every recorded reservation
+// appends in O(1). One that lands amid the reserved history
+// binary-searches the first window still relevant to it (windows are
+// sorted by end time) instead of rescanning the elapsed prefix; only
+// the walk across still-overlapping windows — bounded by busWindow,
+// typically one or two iterations — remains.
 func (ch *channel) reserveBus(earliest, dur uint64) uint64 {
-	n := ch.busyLen
-	if n == 0 || earliest >= ch.busAt(n-1).end {
+	w := ch.window()
+	n := len(w)
+	if n == 0 || earliest >= w[n-1].end {
 		ch.busPush(span{earliest, earliest + dur})
 		return earliest
 	}
 	// First window with end > earliest; everything before it has fully
-	// elapsed and cannot constrain this transfer.
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ch.busAt(mid).end <= earliest {
-			lo = mid + 1
-		} else {
-			hi = mid
+	// elapsed and cannot constrain this transfer. The search keeps the
+	// answer in [i, i+size] and moves i by a conditional assignment, not
+	// a branch on which half to keep.
+	i, size := 0, n
+	for size > 1 {
+		half := size >> 1
+		if w[i+half].end <= earliest {
+			i += half
 		}
+		size -= half
+	}
+	if w[i].end <= earliest {
+		i++
 	}
 	s := earliest
-	insertAt := n
-	for i := lo; i < n; i++ {
-		b := ch.busAt(i)
-		if b.start >= s+dur {
-			insertAt = i
-			break
+	for ; i < n; i++ {
+		if w[i].start >= s+dur {
+			ch.busInsert(i, span{s, s + dur})
+			return s
 		}
-		s = b.end
+		s = w[i].end
 	}
-	if insertAt == n {
-		ch.busPush(span{s, s + dur})
-	} else {
-		ch.busInsert(insertAt, span{s, s + dur})
-	}
+	ch.busPush(span{s, s + dur})
 	return s
 }
 
-// minqPush records a newly queued completion time in the min-deque.
-func (ch *channel) minqPush(done uint64) {
-	for ch.minqLen > 0 &&
-		ch.minq[(ch.minqHead+ch.minqLen-1)&ch.ringMask] > done {
-		ch.minqLen--
-	}
-	ch.minq[(ch.minqHead+ch.minqLen)&ch.ringMask] = done
-	ch.minqLen++
-}
-
-// minqPop retires a completion time that left the queue (FIFO head).
-func (ch *channel) minqPop(done uint64) {
-	if ch.minqLen > 0 && ch.minq[ch.minqHead] == done {
-		ch.minqHead = (ch.minqHead + 1) & ch.ringMask
-		ch.minqLen--
-	}
-}
-
-// popHead removes the queue's FIFO head, keeping the min-deque in sync.
+// popHead removes the queue's FIFO head.
 func (ch *channel) popHead() {
-	ch.minqPop(ch.queue[ch.head])
 	ch.head = (ch.head + 1) & ch.ringMask
 	ch.count--
 }
 
-// inFlight counts queued requests still incomplete at cycle now. When
-// now precedes the earliest queued completion (the loaded-channel case
-// the callers care about) the answer is the maintained count, O(1);
-// otherwise a branch-per-entry scan over the ring's two contiguous
-// segments resolves the partially drained tail.
+// pending returns the queued completion times, oldest first, as the
+// ring's two contiguous segments.
+func (ch *channel) pending() (a, b []uint64) {
+	end := ch.head + ch.count
+	if end <= len(ch.queue) {
+		return ch.queue[ch.head:end], nil
+	}
+	return ch.queue[ch.head:], ch.queue[:end-len(ch.queue)]
+}
+
+// inFlight counts queued requests still incomplete at cycle now with a
+// branch-per-entry scan. Queued completions are not ordered (a later
+// request can finish first) and probes may precede them (MLP-window
+// replays), so no maintained count is exact.
 func (ch *channel) inFlight(now uint64) int {
-	if ch.count == 0 {
-		return 0
-	}
-	if now < ch.minq[ch.minqHead] {
-		return ch.count
-	}
+	a, b := ch.pending()
 	n := 0
-	depth := len(ch.queue)
-	first := ch.head + ch.count
-	if first > depth {
-		first = depth
-	}
-	for _, t := range ch.queue[ch.head:first] {
-		if t > now {
-			n++
-		}
-	}
-	if wrapped := ch.head + ch.count - depth; wrapped > 0 {
-		for _, t := range ch.queue[:wrapped] {
+	for _, seg := range [2][]uint64{a, b} {
+		for _, t := range seg {
 			if t > now {
 				n++
 			}
@@ -327,6 +308,10 @@ type Memory struct {
 	rowChunkBits uint   // log2(chunksPerRow)
 	bankMask     uint64 // Banks-1
 	bankShift    uint   // log2(Banks)
+	// BurstCycles fast path: a shift instead of a divide when BeatBytes
+	// is a power of two.
+	beatShifts bool
+	beatShift  uint // log2(BeatBytes)
 }
 
 // log2OfPow2 returns (log2(n), true) when n is a positive power of two.
@@ -356,7 +341,6 @@ func New(cfg Config) *Memory {
 	for i := range m.channels {
 		m.channels[i].banks = make([]bank, cfg.Banks)
 		m.channels[i].queue = make([]uint64, ringCap)
-		m.channels[i].minq = make([]uint64, ringCap)
 		m.channels[i].ringMask = ringCap - 1
 	}
 	chunksPerRow := uint64(cfg.RowBytes / cfg.InterleaveBytes)
@@ -376,6 +360,7 @@ func New(cfg Config) *Memory {
 		m.bankMask = uint64(cfg.Banks) - 1
 		m.bankShift = bks
 	}
+	m.beatShift, m.beatShifts = log2OfPow2(uint64(cfg.BeatBytes))
 	return m
 }
 
@@ -418,7 +403,12 @@ func (m *Memory) Decode(addr uint64) Loc {
 
 // BurstCycles returns the bus occupancy for transferring n bytes.
 func (m *Memory) BurstCycles(n int) uint64 {
-	beats := (n + m.cfg.BeatBytes - 1) / m.cfg.BeatBytes
+	beats := n + m.cfg.BeatBytes - 1
+	if m.beatShifts {
+		beats >>= m.beatShift
+	} else {
+		beats /= m.cfg.BeatBytes
+	}
 	return uint64(beats * m.cfg.CyclesPerBeat)
 }
 
@@ -507,7 +497,6 @@ func (m *Memory) Access(now uint64, loc Loc, write bool, burstBytes int) uint64 
 	tail := (ch.head + ch.count) & ch.ringMask
 	ch.queue[tail] = done
 	ch.count++
-	ch.minqPush(done)
 
 	if write {
 		m.stats.Writes++
@@ -522,8 +511,7 @@ func (m *Memory) Access(now uint64, loc Loc, write bool, burstBytes int) uint64 
 // InFlight returns how many requests are queued on loc's channel and
 // still incomplete at cycle now. Memory controllers drop or defer
 // low-priority traffic (prefetches) under queue pressure; callers use
-// this to model that throttle. O(1) whenever the channel is fully
-// loaded or empty (the cases that drive throttling decisions); see
+// this to model that throttle. A scan of the channel's queue; see
 // channel.inFlight.
 func (m *Memory) InFlight(now uint64, loc Loc) int {
 	return m.channels[loc.Channel].inFlight(now)
@@ -537,8 +525,7 @@ const TraceConflictRun = 16
 
 // InFlightTotal returns how many requests are queued across every
 // channel and still incomplete at cycle now. Read-only: a queue-depth
-// gauge the epoch metrics recorder calls once per epoch — previously an
-// O(channels×queue) rescan, now the per-channel fast path summed.
+// gauge the epoch metrics recorder calls once per epoch.
 func (m *Memory) InFlightTotal(now uint64) int {
 	n := 0
 	for c := range m.channels {
@@ -555,45 +542,35 @@ func (m *Memory) AccessAddr(now uint64, addr uint64, write bool, burstBytes int)
 // NextBusFree returns the cycle by which every current bus reservation
 // on loc's channel has drained — the channel's next bus-free epoch,
 // equal to the largest completion cycle Access has returned for the
-// channel (0 before any access). The busy ring is kept sorted by both
+// channel (0 before any access). The busy window is kept sorted by both
 // start and end, so this is the last span's end, O(1). Event
 // schedulers use it (with NextCompletion) as a channel ready-time: no
 // new request on the channel can finish a burst before it.
 func (m *Memory) NextBusFree(loc Loc) uint64 {
-	ch := &m.channels[loc.Channel]
-	if ch.busyLen == 0 {
+	w := m.channels[loc.Channel].window()
+	if len(w) == 0 {
 		return 0
 	}
-	return ch.busAt(ch.busyLen - 1).end
+	return w[len(w)-1].end
 }
 
 // NextCompletion returns the earliest completion cycle among requests
 // currently queued on loc's channel — the channel's next in-flight-
-// completion epoch, the front of the monotonic min-deque, O(1). ok is
-// false when the queue is empty (no epoch pending). Event schedulers
-// use it as the wakeup time at which queue-full stalls can unblock.
+// completion epoch, a minimum over the queue. ok is false when the
+// queue is empty (no epoch pending). Event schedulers use it as the
+// wakeup time at which queue-full stalls can unblock.
 func (m *Memory) NextCompletion(loc Loc) (done uint64, ok bool) {
-	ch := &m.channels[loc.Channel]
-	if ch.count == 0 {
+	a, b := m.channels[loc.Channel].pending()
+	if len(a) == 0 {
 		return 0, false
 	}
-	return ch.minq[ch.minqHead], true
-}
-
-// PeakBandwidth returns the aggregate peak bus bandwidth in bytes per CPU
-// cycle, used for reporting and sanity checks.
-func (m *Memory) PeakBandwidth() float64 {
-	return float64(m.cfg.Channels*m.cfg.BeatBytes) / float64(m.cfg.CyclesPerBeat)
-}
-
-// Utilization returns the fraction of total bus cycles busy over an
-// elapsed window of cycles.
-func (m *Memory) Utilization(elapsed uint64) float64 {
-	if elapsed == 0 {
-		return 0
+	done = a[0]
+	for _, seg := range [2][]uint64{a, b} {
+		for _, t := range seg {
+			done = min(done, t)
+		}
 	}
-	total := elapsed * uint64(m.cfg.Channels)
-	return float64(m.stats.BusBusyCycles) / float64(total)
+	return done, true
 }
 
 // Activates returns the number of row activations (for the energy model).

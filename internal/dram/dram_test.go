@@ -27,10 +27,14 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// peakBandwidth is a device's aggregate peak bus bandwidth in bytes per
+// CPU cycle.
+func peakBandwidth(c Config) float64 {
+	return float64(c.Channels*c.BeatBytes) / float64(c.CyclesPerBeat)
+}
+
 func TestPeakBandwidthRatio(t *testing.T) {
-	hbm := New(HBMConfig())
-	ddr := New(DDRConfig())
-	ratio := hbm.PeakBandwidth() / ddr.PeakBandwidth()
+	ratio := peakBandwidth(HBMConfig()) / peakBandwidth(DDRConfig())
 	if ratio != 8 {
 		t.Fatalf("stacked:DDR bandwidth ratio = %v, want 8 (4x channels, 2x width)", ratio)
 	}
@@ -220,8 +224,9 @@ func TestQuickBusReservationsDisjoint(t *testing.T) {
 				return false
 			}
 		}
-		for i := 1; i < ch.busyLen; i++ {
-			if ch.busAt(i).start < ch.busAt(i-1).end {
+		w := ch.window()
+		for i := 1; i < len(w); i++ {
+			if w[i].start < w[i-1].end {
 				return false
 			}
 		}
@@ -298,6 +303,15 @@ func TestBurstCycles(t *testing.T) {
 			t.Fatalf("BurstCycles(%d) = %d, want %d", bytes, got, want)
 		}
 	}
+	// A beat width that is not a power of two takes the divide.
+	cfg := HBMConfig()
+	cfg.BeatBytes = 12
+	odd := New(cfg)
+	for bytes, want := range map[int]uint64{80: 14, 72: 12, 12: 2, 13: 4} {
+		if got := odd.BurstCycles(bytes); got != want {
+			t.Fatalf("12B beats: BurstCycles(%d) = %d, want %d", bytes, got, want)
+		}
+	}
 }
 
 func TestUtilizationBounded(t *testing.T) {
@@ -312,8 +326,10 @@ func TestUtilizationBounded(t *testing.T) {
 		}
 		now += uint64(rng.UintN(20))
 	}
+	// Busy bus cycles over every channel's elapsed cycles.
 	final := now + 10000
-	if u := m.Utilization(final); u <= 0 || u > 1 {
+	u := float64(m.Stats().BusBusyCycles) / float64(final*uint64(m.Config().Channels))
+	if u <= 0 || u > 1 {
 		t.Fatalf("utilization = %v, want (0, 1]", u)
 	}
 }
@@ -353,17 +369,136 @@ func TestQuickDecodeBounds(t *testing.T) {
 	}
 }
 
+// BenchmarkAccess measures one Access. random spreads requests over
+// random rows at a steady issue rate. stream replays traffic shaped like
+// the simulator's (see accessStream) into the stacked-DRAM and DDR
+// configurations, and reports what its calls do to the channel's bus
+// window: the share that land amid the history (amid-frac) and the mean
+// number of retained reservations after their insert position
+// (shift/amid).
 func BenchmarkAccess(b *testing.B) {
-	m := New(HBMConfig())
+	b.Run("random", func(b *testing.B) {
+		m := New(HBMConfig())
+		rng := rand.New(rand.NewPCG(1, 2))
+		locs := make([]Loc, 1024)
+		for i := range locs {
+			locs[i] = Loc{Channel: int(rng.UintN(4)), Bank: int(rng.UintN(16)), Row: uint64(rng.UintN(256))}
+		}
+		b.ResetTimer()
+		now := uint64(0)
+		for i := 0; i < b.N; i++ {
+			m.Access(now, locs[i%len(locs)], false, 80)
+			now += 4
+		}
+	})
+	b.Run("stream", func(b *testing.B) {
+		for _, dev := range []struct {
+			name   string
+			cfg    Config
+			bytes  int
+			stride uint64
+		}{
+			{"hbm", HBMConfig(), 80, 72}, // 72B set frames, 80B transfers
+			{"ddr", DDRConfig(), 64, 64},
+		} {
+			b.Run(dev.name, func(b *testing.B) {
+				amid, shift := newAccessStream(dev.cfg, dev.bytes, dev.stride).profile(1 << 16)
+				s := newAccessStream(dev.cfg, dev.bytes, dev.stride)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.access()
+				}
+				b.ReportMetric(amid, "amid-frac")
+				b.ReportMetric(shift, "shift/amid")
+			})
+		}
+	})
+}
+
+// streamIssuers and streamMLP shape accessStream: eight cores, each with
+// six references in flight, as in the simulator's default configuration.
+const (
+	streamIssuers = 8
+	streamMLP     = 6
+)
+
+// accessStream drives one Memory the way the simulator's cores do: a
+// closed loop of issuers, each streaming through its own address range
+// and issuing its next request at one of its own last streamMLP
+// completions. Which issuer goes next and which completion it waits on
+// are drawn up front into a table, so the timed loop only indexes it.
+// The table gives every issuer the same number of turns, in shuffled
+// order: within one pass an issuer that drew few turns lags behind the
+// others, and its requests land deep in the bus history, but every
+// issuer is level again when the table wraps, so the stream's shape
+// does not drift with b.N.
+type accessStream struct {
+	m      *Memory
+	bytes  int
+	stride uint64
+	picks  []uint8 // issuer + streamIssuers*completion slot, per call
+	line   [streamIssuers]uint64
+	done   [streamIssuers][streamMLP]uint64
+	head   [streamIssuers]int // each issuer's oldest completion slot
+	n      int
+}
+
+func newAccessStream(cfg Config, bytes int, stride uint64) *accessStream {
+	s := &accessStream{m: New(cfg), bytes: bytes, stride: stride, picks: make([]uint8, 1<<16)}
 	rng := rand.New(rand.NewPCG(1, 2))
-	locs := make([]Loc, 1024)
-	for i := range locs {
-		locs[i] = Loc{Channel: int(rng.UintN(4)), Bank: int(rng.UintN(16)), Row: uint64(rng.UintN(256))}
+	for i := range s.picks {
+		s.picks[i] = uint8(i%streamIssuers + streamIssuers*rng.IntN(streamMLP))
 	}
-	b.ResetTimer()
-	now := uint64(0)
-	for i := 0; i < b.N; i++ {
-		m.Access(now, locs[i%len(locs)], false, 80)
-		now += 4
+	rng.Shuffle(len(s.picks), func(i, j int) { s.picks[i], s.picks[j] = s.picks[j], s.picks[i] })
+	for i := range s.line {
+		s.line[i] = uint64(i) << 24 // disjoint streams
 	}
+	return s
+}
+
+// next returns the next call's issuer, its issue cycle and its location.
+func (s *accessStream) next() (issuer int, now uint64, loc Loc) {
+	p := int(s.picks[s.n&(len(s.picks)-1)])
+	issuer = p % streamIssuers
+	return issuer, s.done[issuer][p/streamIssuers], s.m.Decode(s.line[issuer] * s.stride)
+}
+
+// access issues the next call, records its completion and returns it.
+func (s *accessStream) access() uint64 {
+	i, now, loc := s.next()
+	done := s.m.Access(now, loc, false, s.bytes)
+	s.done[i][s.head[i]] = done
+	s.head[i] = (s.head[i] + 1) % streamMLP
+	s.line[i]++
+	s.n++
+	return done
+}
+
+// profile runs n calls and returns the share that landed amid their
+// channel's bus history — placed before a retained reservation, or
+// directly behind the last one — and the mean number of reservations
+// after the insert position of those calls: the spans an
+// element-by-element shift toward the window's end would move. An
+// insert at position 0 of a full window is dropped and moves nothing.
+func (s *accessStream) profile(n int) (amidFrac, meanShift float64) {
+	var before []span
+	amid, shifted := 0, 0
+	for c := 0; c < n; c++ {
+		_, _, loc := s.next()
+		before = append(before[:0], s.m.channels[loc.Channel].window()...)
+		start := s.access() - s.m.BurstCycles(s.bytes)
+		if len(before) == 0 || start > before[len(before)-1].end {
+			continue
+		}
+		amid++
+		at := 0
+		for at < len(before) && before[at].start < start {
+			at++
+		}
+		if at > 0 || len(before) < busWindow {
+			shifted += len(before) - at
+		}
+	}
+	return float64(amid) / float64(n), float64(shifted) / float64(max(amid, 1))
 }

@@ -9,8 +9,8 @@ import (
 
 // refChannel is the pre-fast-path bus scheduler: an append/copy slice
 // scanned linearly from the start on every reservation. It is kept here
-// verbatim as the executable specification that the ring implementation
-// must match reservation-for-reservation — the experiment goldens were
+// verbatim as the executable specification that the windowed
+// implementation must match reservation-for-reservation — the experiment goldens were
 // produced by this code.
 type refChannel struct {
 	busy []span
@@ -42,15 +42,38 @@ func (ch *refChannel) reserveBus(earliest, dur uint64) uint64 {
 	return s
 }
 
-// Property: the ring scheduler returns the same start time as the
+// sameWindow reports whether ch retains exactly the reference's window.
+func sameWindow(ch *channel, ref *refChannel) bool {
+	w := ch.window()
+	if len(w) != len(ref.busy) {
+		return false
+	}
+	for i := range w {
+		if w[i] != ref.busy[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: the windowed scheduler returns the same start time as the
 // reference for every reservation of an arbitrary stream AND retains an
 // identical busy window afterwards — bit-exactness of every golden
-// depends on this.
+// depends on this. prefill appends up to two windows of spaced spans
+// first, so streams also start from a full window at every offset of
+// the backing array, compaction boundary included.
 func TestQuickReserveBusMatchesReference(t *testing.T) {
-	f := func(times []uint16, durs []uint8, jumps []uint32) bool {
+	f := func(prefill uint8, times []uint16, durs []uint8, jumps []uint32) bool {
 		ch := &channel{}
 		ref := &refChannel{}
 		base := uint64(0)
+		for i := 0; i < int(prefill)%(2*busWindow+1); i++ {
+			base += 30
+			ch.reserveBus(base, 10)
+			ref.reserveBus(base, 10)
+		}
+		// Land some streams amid the prefill, never before cycle 0.
+		base -= min(base, uint64(prefill)%4*500)
 		for i, tr := range times {
 			dur := uint64(1)
 			if i < len(durs) {
@@ -67,15 +90,7 @@ func TestQuickReserveBusMatchesReference(t *testing.T) {
 				return false
 			}
 		}
-		if ch.busyLen != len(ref.busy) {
-			return false
-		}
-		for i := range ref.busy {
-			if ch.busAt(i) != ref.busy[i] {
-				return false
-			}
-		}
-		return true
+		return sameWindow(ch, ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -85,7 +100,7 @@ func TestQuickReserveBusMatchesReference(t *testing.T) {
 // TestReserveBusFullWindowEdge pins the bounded-history edge case: with
 // a full 64-entry window, a reservation that would insert at position 0
 // gets its start time honored but is immediately trimmed out of the
-// retained history (oldest of 65). The ring must reproduce that, not
+// retained history (oldest of 65). The window must reproduce that, not
 // "fix" it.
 func TestReserveBusFullWindowEdge(t *testing.T) {
 	ch := &channel{}
@@ -96,31 +111,114 @@ func TestReserveBusFullWindowEdge(t *testing.T) {
 		ch.reserveBus(at, 10)
 		ref.reserveBus(at, 10)
 	}
-	if ch.busyLen != busWindow {
-		t.Fatalf("window len = %d, want %d", ch.busyLen, busWindow)
+	if n := len(ch.window()); n != busWindow {
+		t.Fatalf("window len = %d, want %d", n, busWindow)
 	}
 	// An early reservation fits in the gap before the oldest span.
 	got, want := ch.reserveBus(5, 10), ref.reserveBus(5, 10)
 	if got != want || got != 5 {
 		t.Fatalf("early start = %d, ref = %d, want 5", got, want)
 	}
-	if ch.busyLen != len(ref.busy) {
-		t.Fatalf("window len = %d, ref = %d", ch.busyLen, len(ref.busy))
-	}
-	for i := range ref.busy {
-		if ch.busAt(i) != ref.busy[i] {
-			t.Fatalf("window[%d] = %+v, ref %+v", i, ch.busAt(i), ref.busy[i])
-		}
+	if !sameWindow(ch, ref) {
+		t.Fatalf("window %+v, ref %+v", ch.window(), ref.busy)
 	}
 	// The trimmed-away span must NOT appear: the retained oldest is still
 	// the original [100,110).
-	if first := ch.busAt(0); first.start != 100 {
+	if first := ch.window()[0]; first.start != 100 {
 		t.Fatalf("oldest retained span starts at %d, want 100", first.start)
 	}
 }
 
-// refInFlight is the pre-fast-path query: a modulo scan over the whole
-// queue ring.
+// TestReserveBusFullWindowEveryPosition inserts into a full window at
+// every position 0..busWindow-1, from every offset of the window in its
+// backing array: lo = 0 through lo = busWindow, where hi sits at the
+// array's end and the insert must compact first. Positions below the
+// middle shift the spans before them left, the rest shift the spans
+// after them right; both directions must occur and every case must
+// match the reference.
+func TestReserveBusFullWindowEveryPosition(t *testing.T) {
+	const gap = 100
+	var left, right, compacted int
+	for off := 0; off <= busWindow; off++ {
+		for pos := 0; pos < busWindow; pos++ {
+			ch := &channel{}
+			ref := &refChannel{}
+			for j := 1; j <= busWindow+off; j++ {
+				ch.reserveBus(uint64(j*gap), 10)
+				ref.reserveBus(uint64(j*gap), 10)
+			}
+			if ch.lo != off || ch.hi != off+busWindow {
+				t.Fatalf("prefill of %d: window at [%d,%d), want [%d,%d)",
+					busWindow+off, ch.lo, ch.hi, off, off+busWindow)
+			}
+			if ch.hi == len(ch.busy) {
+				compacted++
+			}
+			// Midway into the gap before window position pos.
+			earliest := uint64((off+1+pos)*gap - gap/2)
+			got, want := ch.reserveBus(earliest, 10), ref.reserveBus(earliest, 10)
+			if got != want || got != earliest {
+				t.Fatalf("off %d pos %d: start %d, ref %d, want %d", off, pos, got, want, earliest)
+			}
+			if !sameWindow(ch, ref) {
+				t.Fatalf("off %d pos %d: window %+v\nref %+v", off, pos, ch.window(), ref.busy)
+			}
+			switch {
+			case pos == 0:
+			case pos-1 <= busWindow-pos:
+				left++
+			default:
+				right++
+			}
+			// The channel keeps working from the post-insert state.
+			got, want = ch.reserveBus(earliest, 10), ref.reserveBus(earliest, 10)
+			if got != want || !sameWindow(ch, ref) {
+				t.Fatalf("off %d pos %d: follow-up diverged: %d vs %d", off, pos, got, want)
+			}
+		}
+	}
+	if left == 0 || right == 0 || compacted == 0 {
+		t.Fatalf("coverage: %d left shifts, %d right shifts, %d at the array end", left, right, compacted)
+	}
+}
+
+// TestReserveBusSoakMatchesReference runs a long random stream shaped
+// like simulator traffic — a slowly advancing clock, most reservations
+// landing amid the retained history, occasional far jumps — and checks
+// the start time and the whole retained window after every call. With
+// this seed about two thirds of the calls insert into a full window,
+// at every one of its positions.
+func TestReserveBusSoakMatchesReference(t *testing.T) {
+	ops := 1_000_000
+	if testing.Short() {
+		ops = 100_000
+	}
+	rng := rand.New(rand.NewPCG(5, 8))
+	ch := &channel{}
+	ref := &refChannel{}
+	now := uint64(0)
+	for i := 0; i < ops; i++ {
+		now += uint64(rng.UintN(12))
+		if rng.UintN(1000) == 0 {
+			now += uint64(rng.UintN(5000))
+		}
+		earliest := now + uint64(rng.UintN(600))
+		dur := 1 + uint64(rng.UintN(8))
+		if rng.UintN(4) == 0 {
+			dur += uint64(rng.UintN(16))
+		}
+		got, want := ch.reserveBus(earliest, dur), ref.reserveBus(earliest, dur)
+		if got != want {
+			t.Fatalf("op %d: reserveBus(%d, %d) = %d, ref %d", i, earliest, dur, got, want)
+		}
+		if !sameWindow(ch, ref) {
+			t.Fatalf("op %d: window diverged from the reference", i)
+		}
+	}
+}
+
+// refInFlight is the query's definition: a modulo scan over the
+// occupied slots of the queue ring, counting completions after now.
 func refInFlight(ch *channel, now uint64) int {
 	n := 0
 	for i := 0; i < ch.count; i++ {
@@ -131,10 +229,11 @@ func refInFlight(ch *channel, now uint64) int {
 	return n
 }
 
-// Property: InFlight and InFlightTotal match the reference scan at
-// arbitrary probe times — including times older than queued completions
-// (the MLP-window replays that make a purely maintained counter
-// impossible) — throughout a random access stream.
+// Property: InFlight and InFlightTotal, which scan the ring's two
+// contiguous segments, match the modulo scan at arbitrary probe times —
+// including times older than queued completions (the MLP-window
+// replays that make a purely maintained counter impossible) —
+// throughout a random access stream that wraps the ring.
 func TestQuickInFlightMatchesReference(t *testing.T) {
 	cfg := HBMConfig()
 	cfg.QueueDepth = 8 // small depth: exercises full-queue pops and wrap
@@ -174,8 +273,8 @@ func TestQuickInFlightMatchesReference(t *testing.T) {
 }
 
 // BenchmarkReserveBus measures the scheduler under a saturated bus: the
-// window is always full, so the pre-fast-path code rescanned all 64
-// spans while the ring appends or binary-searches.
+// window is always full, so the slice reference rescanned all 64 spans
+// while the window appends or binary-searches.
 func BenchmarkReserveBus(b *testing.B) {
 	for _, mode := range []string{"append", "gapfill"} {
 		b.Run(mode, func(b *testing.B) {
@@ -201,31 +300,8 @@ func BenchmarkReserveBus(b *testing.B) {
 	}
 }
 
-// BenchmarkInFlight shows the query no longer scales with queue depth:
-// the loaded-channel probe answers from the min-deque front in O(1)
-// regardless of how many completions are queued.
-func BenchmarkInFlight(b *testing.B) {
-	for _, depth := range []int{96, 384, 1536} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			cfg := HBMConfig()
-			cfg.QueueDepth = depth
-			m := New(cfg)
-			loc := Loc{Channel: 0, Bank: 0, Row: 1}
-			// Fill the queue with incomplete requests, all issued at 0.
-			for i := 0; i < depth; i++ {
-				m.Access(0, loc, false, 80)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.InFlight(0, loc)
-			}
-		})
-	}
-}
-
-// BenchmarkInFlightTotal is the per-epoch metrics gauge: previously
-// O(channels x queue) per epoch, now a per-channel O(1) sum.
+// BenchmarkInFlightTotal is the per-epoch metrics gauge: a scan of every
+// channel's queue, O(channels x queue), once per epoch.
 func BenchmarkInFlightTotal(b *testing.B) {
 	for _, depth := range []int{96, 384, 1536} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {

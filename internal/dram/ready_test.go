@@ -9,8 +9,9 @@ import (
 // simulator core leans on. Each is pinned against an independent mirror
 // model driven purely by Access's observable behavior: NextBusFree must
 // equal the running maximum of every completion cycle Access has
-// returned on the channel, and NextCompletion must equal a mirror FIFO
-// that replicates Access's drain rules exactly.
+// returned on the channel, and NextCompletion — a minimum over the
+// channel's queued completions — must equal the same minimum over a
+// mirror FIFO that replicates Access's drain rules exactly.
 
 // TestQuickNextBusFreeMatchesAccessMax drives random access streams
 // (forward jumps and MLP-style replays of earlier cycles, as in the
@@ -74,7 +75,8 @@ func (q *mirrorQueue) access(now, done uint64) {
 	q.fifo = append(q.fifo, done)
 }
 
-// next returns the minimum pending completion.
+// next returns the minimum pending completion, scanning the whole FIFO
+// (completions are not ordered by queue position).
 func (q *mirrorQueue) next() (uint64, bool) {
 	if len(q.fifo) == 0 {
 		return 0, false

@@ -91,6 +91,10 @@ type Config struct {
 	// openJournal opens JournalPath; nil means OpenJournal. The
 	// group-commit gate points it at the fsync-per-append reference.
 	openJournal func(path string) (*Journal, *Replay, error)
+	// execute runs one job; nil means RunSpecStream at DefaultRefs.
+	// Tests swap in fakes here, before New re-enqueues replayed jobs
+	// and starts the workers that call it.
+	execute func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error)
 }
 
 // Daemon is the experiment job daemon: a bounded queue feeding
@@ -100,7 +104,6 @@ type Config struct {
 type Daemon struct {
 	cfg     Config
 	journal *Journal
-	execute func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error)
 
 	// gen is this process's stream generation token; replayGen is the
 	// stable token for synthesized streams of jobs that finished in an
@@ -179,6 +182,12 @@ func New(cfg Config) (*Daemon, *Replay, error) {
 	if cfg.DefaultRefs <= 0 {
 		cfg.DefaultRefs = 60_000
 	}
+	if cfg.execute == nil {
+		refs := cfg.DefaultRefs
+		cfg.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
+			return RunSpecStream(ctx, spec, refs, emit)
+		}
+	}
 	if cfg.RetainOutputs <= 0 {
 		cfg.RetainOutputs = 256
 	}
@@ -231,9 +240,6 @@ func New(cfg Config) (*Daemon, *Replay, error) {
 		start:       time.Now(),
 	}
 	d.replayGen = d.gen + "-replay"
-	d.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
-		return RunSpecStream(ctx, spec, d.cfg.DefaultRefs, emit)
-	}
 
 	// The channel needs room for the admission bound plus whatever
 	// backlog replay restores (the backlog was itself admitted under
@@ -437,7 +443,7 @@ func (d *Daemon) runJob(jb *job) {
 				err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 			}
 		}()
-		return d.execute(ctx, spec, emit)
+		return d.cfg.execute(ctx, spec, emit)
 	}()
 
 	d.mu.Lock()

@@ -14,7 +14,7 @@ import (
 )
 
 // Daemon unit tests. These run with a controllable fake executor
-// (package-internal access to d.execute) so queue-full, deadline,
+// (the package-internal Config.execute) so queue-full, deadline,
 // panic, cancel, and drain timing are deterministic rather than
 // dependent on simulation wall-clock. The end-to-end paths with the
 // real executor live in soak_test.go and cmd/dicebenchd's smoke test.
@@ -55,6 +55,11 @@ func blockingExec(started chan<- string, release <-chan struct{}) func(context.C
 	}
 }
 
+// fixedExec returns an executor that answers every job with out.
+func fixedExec(out string) func(context.Context, JobSpec, func(StreamEvent)) (string, error) {
+	return func(context.Context, JobSpec, func(StreamEvent)) (string, error) { return out, nil }
+}
+
 // waitState polls until the job reaches the wanted state.
 func waitState(t *testing.T, d *Daemon, id string, want JobState) JobStatus {
 	t.Helper()
@@ -89,8 +94,7 @@ func mustSubmit(t *testing.T, d *Daemon, spec JobSpec) JobStatus {
 func TestBackpressureQueueFull(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
-	d := testDaemon(t, Config{QueueCap: 2, JobWorkers: 1})
-	d.execute = blockingExec(started, release)
+	d := testDaemon(t, Config{QueueCap: 2, JobWorkers: 1, execute: blockingExec(started, release)})
 
 	spec := JobSpec{Experiments: []string{"fig4"}}
 	running := mustSubmit(t, d, spec)
@@ -139,8 +143,7 @@ func TestDeadlineEnforced(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	defer close(release)
-	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
-	d.execute = blockingExec(started, release)
+	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1, execute: blockingExec(started, release)})
 
 	slow := mustSubmit(t, d, JobSpec{Experiments: []string{"fig4"}, DeadlineMS: 30})
 	st := waitState(t, d, slow.ID, StateFailed)
@@ -161,13 +164,13 @@ func TestDeadlineEnforced(t *testing.T) {
 // A panicking job must fail alone — stack captured in its status —
 // and the daemon keeps serving.
 func TestPanicIsolation(t *testing.T) {
-	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
-	d.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
+	exec := func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
 		if spec.Experiments[0] == "fig4" {
 			panic("synthetic job crash")
 		}
 		return "survived", nil
 	}
+	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1, execute: exec})
 
 	crash := mustSubmit(t, d, JobSpec{Experiments: []string{"fig4"}})
 	st := waitState(t, d, crash.ID, StateFailed)
@@ -190,8 +193,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	defer close(release)
-	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
-	d.execute = blockingExec(started, release)
+	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1, execute: blockingExec(started, release)})
 
 	spec := JobSpec{Experiments: []string{"fig4"}}
 	run := mustSubmit(t, d, spec)
@@ -234,11 +236,10 @@ func TestShutdownDrainsAndCheckpointsQueue(t *testing.T) {
 	journal := tmpJournal(t)
 	started := make(chan string, 1)
 	release := make(chan struct{})
-	d, _, err := New(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1})
+	d, _, err := New(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1, execute: blockingExec(started, release)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.execute = blockingExec(started, release)
 
 	spec := JobSpec{Experiments: []string{"fig4"}}
 	running := mustSubmit(t, d, spec)
@@ -275,11 +276,10 @@ func TestShutdownDrainsAndCheckpointsQueue(t *testing.T) {
 	}
 
 	// Restart: the queued job replays, re-enqueues, and runs.
-	d2, rep, err := New(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1})
+	d2, rep, err := New(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1, execute: fixedExec("rerun")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) { return "rerun", nil }
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -313,11 +313,10 @@ func TestShutdownDrainTimeoutCheckpointsInFlight(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	defer close(release)
-	d, _, err := New(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1})
+	d, _, err := New(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1, execute: blockingExec(started, release)}) // never released: only ctx ends it
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.execute = blockingExec(started, release) // never released: only ctx ends it
 
 	st := mustSubmit(t, d, JobSpec{Experiments: []string{"fig4"}})
 	<-started
@@ -331,11 +330,10 @@ func TestShutdownDrainTimeoutCheckpointsInFlight(t *testing.T) {
 		t.Fatalf("abandoned job state = %s, want interrupted", got.State)
 	}
 
-	d2, rep, err := New(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1})
+	d2, rep, err := New(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1, execute: fixedExec("rerun")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) { return "rerun", nil }
 	defer func() {
 		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer scancel()
@@ -351,10 +349,10 @@ func TestShutdownDrainTimeoutCheckpointsInFlight(t *testing.T) {
 // output, list elides outputs, bad spec → 400, unknown id → 404,
 // healthz carries the self-stats, readyz flips on drain.
 func TestHTTPAPI(t *testing.T) {
-	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
-	d.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
+	exec := func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
 		return "report for " + spec.Experiments[0], nil
 	}
+	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1, execute: exec})
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
 	defer ts.Client().CloseIdleConnections()
@@ -442,10 +440,10 @@ func TestHTTPAPI(t *testing.T) {
 // oldest terminal job loses its bytes (journal keeps them) and is
 // flagged output_dropped.
 func TestOutputRetentionBounded(t *testing.T) {
-	d := testDaemon(t, Config{QueueCap: 8, JobWorkers: 1, RetainOutputs: 2})
-	d.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
+	exec := func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
 		return "output-" + spec.Experiments[0], nil
 	}
+	d := testDaemon(t, Config{QueueCap: 8, JobWorkers: 1, RetainOutputs: 2, execute: exec})
 	ids := []string{}
 	for _, e := range []string{"fig4", "fig10", "table4"} {
 		st := mustSubmit(t, d, JobSpec{Experiments: []string{e}})
@@ -469,11 +467,10 @@ func TestOutputRetentionBounded(t *testing.T) {
 func TestDaemonStartStopNoGoroutineLeak(t *testing.T) {
 	defer leakcheck.Check(t)()
 	for i := 0; i < 3; i++ {
-		d, _, err := New(Config{JournalPath: tmpJournal(t), QueueCap: 4, JobWorkers: 2})
+		d, _, err := New(Config{JournalPath: tmpJournal(t), QueueCap: 4, JobWorkers: 2, execute: fixedExec("ok")})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) { return "ok", nil }
 		addr, err := d.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

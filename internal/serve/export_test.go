@@ -8,14 +8,15 @@ import (
 	"dice/internal/commitlog"
 )
 
-// SetExecuteForTest swaps the daemon's job executor. Test-binary only:
+// SetExecuteForTest sets the job executor of a daemon built from cfg.
+// Test-binary only:
 // the soak (package serve_test) wraps the real executor with a gate on
 // its prefill jobs so backpressure engages deterministically instead of
 // racing job runtime against submission rate — the simulator is now
 // fast enough that real prefill jobs can drain as quickly as the
 // journal-fsync'd submissions arrive.
-func SetExecuteForTest(d *Daemon, fn func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error)) {
-	d.execute = fn
+func SetExecuteForTest(cfg *Config, fn func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error)) {
+	cfg.execute = fn
 }
 
 // UseSerialJournalForTest makes a daemon built from cfg journal
