@@ -70,7 +70,7 @@ bench:
 # concurrent submission load, with the journal's counters proving the
 # batching structurally.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=5x ./internal/compress ./internal/dcache ./internal/dram ./internal/workloads ./internal/sim ./internal/commitlog ./internal/experiments
+	$(GO) test -run='^$$' -bench=. -benchtime=5x ./internal/cache ./internal/compress ./internal/dcache ./internal/dram ./internal/workloads ./internal/sim ./internal/commitlog ./internal/experiments
 	$(GO) test -run='^TestArtifactCacheSmoke$$' -count=1 -v ./internal/experiments
 	DICE_SMOKE=1 $(GO) test -run='^TestEventCoreSmokeSpeedup$$' -count=1 -v ./internal/sim
 	$(GO) test -run='^TestGoldenReports$$' -count=1 ./internal/experiments

@@ -57,16 +57,18 @@ func (s Stats) HitRate() float64 {
 // eight a struct-per-way layout costs, and power-of-two set counts
 // index with a mask instead of a hardware divide. Both effects are
 // measurable because the L3 sits on the simulator's per-reference
-// path. A slot is valid iff its used tick is nonzero (ticks start
-// at 1).
+// path. True LRU is kept by recency order: set i's valid lines fill
+// its first valid[i] slots, most recently used first, so a hit moves
+// its line to the front, a fill shifts the set down one slot, and the
+// LRU line is the last valid slot — no per-line age and no victim
+// scan.
 type Cache struct {
 	cfg     Config
 	tags    []uint64
-	used    []uint64 // LRU tick; 0 = invalid slot
 	dirty   []bool
+	valid   []int // valid lines per set
 	nsets   uint64
 	setMask uint64 // nsets-1 when nsets is a power of two, else 0
-	tick    uint64
 	stats   Stats
 }
 
@@ -82,8 +84,8 @@ func New(cfg Config) *Cache {
 		cfg:   cfg,
 		nsets: uint64(nsets),
 		tags:  make([]uint64, slots),
-		used:  make([]uint64, slots),
 		dirty: make([]bool, slots),
+		valid: make([]int, nsets),
 	}
 	if c.nsets&(c.nsets-1) == 0 {
 		c.setMask = c.nsets - 1
@@ -103,49 +105,55 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the statistics; contents are preserved.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// setBase returns the first slot index of the set holding line.
-func (c *Cache) setBase(line uint64) int {
-	var idx uint64
+// probe returns the set holding line and line's recency position in
+// it, or -1. The scan reads only the set's valid tag words.
+func (c *Cache) probe(line uint64) (set, pos int) {
 	if c.setMask != 0 {
-		idx = line & c.setMask
+		set = int(line & c.setMask)
 	} else {
-		idx = line % c.nsets
+		set = int(line % c.nsets)
 	}
-	return int(idx) * c.cfg.Ways
-}
-
-// probe returns the slot index of line, or -1. The scan reads only the
-// tag words; validity is checked on the (rare) match.
-func (c *Cache) probe(line uint64) int {
-	base := c.setBase(line)
-	tags := c.tags[base : base+c.cfg.Ways]
-	for i := range tags {
-		if tags[i] == line && c.used[base+i] != 0 {
-			return base + i
+	base := set * c.cfg.Ways
+	for i, t := range c.tags[base : base+c.valid[set]] {
+		if t == line {
+			return set, i
 		}
 	}
-	return -1
+	return set, -1
+}
+
+// shiftDown moves the first n lines of the set starting at slot base
+// down one slot, freeing the front slot for the most recent line.
+func (c *Cache) shiftDown(base, n int) {
+	copy(c.tags[base+1:base+1+n], c.tags[base:base+n])
+	copy(c.dirty[base+1:base+1+n], c.dirty[base:base+n])
+}
+
+// touch moves the line at recency position pos of the set starting at
+// slot base to the front, ORing dirty into its dirty bit.
+func (c *Cache) touch(base, pos int, dirty bool) {
+	line, was := c.tags[base+pos], c.dirty[base+pos]
+	c.shiftDown(base, pos)
+	c.tags[base], c.dirty[base] = line, was || dirty
 }
 
 // Lookup probes for a line, updating LRU on a hit. When write is true a
 // hit marks the line dirty (write-back policy).
 func (c *Cache) Lookup(line uint64, write bool) bool {
-	c.tick++
-	if i := c.probe(line); i >= 0 {
-		c.used[i] = c.tick
-		if write {
-			c.dirty[i] = true
-		}
-		c.stats.Hits++
-		return true
+	set, pos := c.probe(line)
+	if pos < 0 {
+		c.stats.Misses++
+		return false
 	}
-	c.stats.Misses++
-	return false
+	c.touch(set*c.cfg.Ways, pos, write)
+	c.stats.Hits++
+	return true
 }
 
 // Contains reports residency without touching LRU or statistics.
 func (c *Cache) Contains(line uint64) bool {
-	return c.probe(line) >= 0
+	_, pos := c.probe(line)
+	return pos >= 0
 }
 
 // Victim describes a line displaced by Install.
@@ -158,59 +166,37 @@ type Victim struct {
 // is full. It returns the victim, if any. Installing a line that is
 // already resident refreshes its LRU state and ORs in dirty.
 func (c *Cache) Install(line uint64, dirty bool) (Victim, bool) {
-	c.tick++
 	c.stats.Installs++
+	set, pos := c.probe(line)
+	base := set * c.cfg.Ways
 	// Already resident (can happen when a prefetch races a demand fill).
-	if i := c.probe(line); i >= 0 {
-		c.used[i] = c.tick
-		c.dirty[i] = c.dirty[i] || dirty
+	if pos >= 0 {
+		c.touch(base, pos, dirty)
 		return Victim{}, false
 	}
-	base := c.setBase(line)
-	used := c.used[base : base+c.cfg.Ways]
-	// Free way, else the LRU way: invalid slots carry tick 0, so the
-	// minimum over used covers both cases in one scan.
-	lru := 0
-	for i := 1; i < len(used); i++ {
-		if used[i] < used[lru] {
-			lru = i
-		}
-	}
-	slot := base + lru
+	n := c.valid[set]
 	var v Victim
-	evicted := used[lru] != 0
+	evicted := n == c.cfg.Ways
 	if evicted {
-		v = Victim{Line: c.tags[slot], Dirty: c.dirty[slot]}
+		n-- // the LRU line falls off the end
+		v = Victim{Line: c.tags[base+n], Dirty: c.dirty[base+n]}
 		c.stats.Evictions++
 		if v.Dirty {
 			c.stats.Writebacks++
 		}
+	} else {
+		c.valid[set]++
 	}
-	c.tags[slot] = line
-	c.used[slot] = c.tick
-	c.dirty[slot] = dirty
+	c.shiftDown(base, n)
+	c.tags[base], c.dirty[base] = line, dirty
 	return v, evicted
-}
-
-// Invalidate removes a line if present, returning whether it was dirty.
-func (c *Cache) Invalidate(line uint64) (dirty, present bool) {
-	if i := c.probe(line); i >= 0 {
-		dirty = c.dirty[i]
-		c.tags[i] = 0
-		c.used[i] = 0
-		c.dirty[i] = false
-		return dirty, true
-	}
-	return false, false
 }
 
 // OccupiedLines returns the number of valid lines (for capacity reports).
 func (c *Cache) OccupiedLines() int {
 	n := 0
-	for i := range c.used {
-		if c.used[i] != 0 {
-			n++
-		}
+	for _, v := range c.valid {
+		n += v
 	}
 	return n
 }

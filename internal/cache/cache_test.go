@@ -89,27 +89,24 @@ func TestWriteHitMarksDirty(t *testing.T) {
 }
 
 func TestReinstallRefreshesAndMergesDirty(t *testing.T) {
-	c := smallCache()
-	c.Install(7, false)
-	if v, evicted := c.Install(7, true); evicted {
+	c := smallCache() // 8 sets, 4 ways
+	sets := uint64(c.Sets())
+	for i := uint64(0); i < 4; i++ {
+		c.Install(i*sets, false)
+	}
+	if v, evicted := c.Install(0, true); evicted {
 		t.Fatalf("reinstall must not evict, got %+v", v)
 	}
-	if d, ok := c.Invalidate(7); !ok || !d {
-		t.Fatal("reinstall should have merged dirty=true")
+	// The reinstall made line 0 the most recent, so the next fill evicts
+	// line sets; line 0 goes three fills later, carrying the merged dirty.
+	if v, _ := c.Install(4*sets, false); v.Line != sets {
+		t.Fatalf("victim = %+v, want line %d (reinstall must refresh LRU)", v, sets)
 	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := smallCache()
-	c.Install(42, true)
-	if d, ok := c.Invalidate(42); !ok || !d {
-		t.Fatal("invalidate should find dirty line")
+	for i := uint64(5); i < 7; i++ {
+		c.Install(i*sets, false)
 	}
-	if _, ok := c.Invalidate(42); ok {
-		t.Fatal("double invalidate should miss")
-	}
-	if c.Lookup(42, false) {
-		t.Fatal("invalidated line must miss")
+	if v, evicted := c.Install(7*sets, false); !evicted || v.Line != 0 || !v.Dirty {
+		t.Fatalf("victim = %+v (evicted=%v), want dirty line 0 (reinstall merges dirty)", v, evicted)
 	}
 }
 
@@ -206,4 +203,54 @@ func BenchmarkInstallEvict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Install(uint64(i), false)
 	}
+}
+
+// BenchmarkL3 measures the simulator's L3 geometry (64 sets of 16
+// ways) on its two per-reference paths. miss-fill streams past a full
+// cache, so every reference is a Lookup miss plus an evicting Install
+// (streaming lbm's path); mixed draws half its references from a hot
+// set of half the capacity and fills on a miss, with one in four a
+// write.
+func BenchmarkL3(b *testing.B) {
+	cfg := Config{SizeBytes: 64 * 16 * 64, Ways: 16, LineBytes: 64, HitLatency: 30}
+	capacity := uint64(cfg.SizeBytes / cfg.LineBytes)
+	b.Run("miss-fill", func(b *testing.B) {
+		c := New(cfg)
+		for l := uint64(0); l < capacity; l++ {
+			c.Install(l, false)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l := capacity + uint64(i)
+			if !c.Lookup(l, false) {
+				c.Install(l, i&3 == 0)
+			}
+		}
+	})
+	b.Run("mixed", func(b *testing.B) {
+		// A fixed table of references, so the hit rate does not drift
+		// with b.N.
+		rng := rand.New(rand.NewPCG(11, 13))
+		refs := make([]uint64, 1<<16)
+		stream := capacity
+		for i := range refs {
+			if rng.IntN(2) == 0 {
+				refs[i] = rng.Uint64N(capacity / 2)
+			} else {
+				refs[i] = stream
+				stream++
+			}
+		}
+		c := New(cfg)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l := refs[i&(len(refs)-1)]
+			write := i&3 == 0
+			if !c.Lookup(l, write) {
+				c.Install(l, write)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(c.Stats().HitRate(), "hit-rate")
+	})
 }

@@ -276,16 +276,19 @@ func (ch *channel) pending() (a, b []uint64) {
 }
 
 // inFlight counts queued requests still incomplete at cycle now with a
-// branch-per-entry scan. Queued completions are not ordered (a later
-// request can finish first) and probes may precede them (MLP-window
-// replays), so no maintained count is exact.
-func (ch *channel) inFlight(now uint64) int {
+// branch-per-entry scan, stopping at limit+1 once the count passes
+// limit. Queued completions are not ordered (a later request can
+// finish first) and probes may precede them (MLP-window replays), so
+// no maintained count is exact.
+func (ch *channel) inFlight(now uint64, limit int) int {
 	a, b := ch.pending()
 	n := 0
 	for _, seg := range [2][]uint64{a, b} {
 		for _, t := range seg {
 			if t > now {
-				n++
+				if n++; n > limit {
+					return n
+				}
 			}
 		}
 	}
@@ -509,12 +512,13 @@ func (m *Memory) Access(now uint64, loc Loc, write bool, burstBytes int) uint64 
 }
 
 // InFlight returns how many requests are queued on loc's channel and
-// still incomplete at cycle now. Memory controllers drop or defer
-// low-priority traffic (prefetches) under queue pressure; callers use
-// this to model that throttle. A scan of the channel's queue; see
-// channel.inFlight.
-func (m *Memory) InFlight(now uint64, loc Loc) int {
-	return m.channels[loc.Channel].inFlight(now)
+// still incomplete at cycle now, or limit+1 once that count passes
+// limit. Memory controllers drop or defer low-priority traffic
+// (prefetches) under queue pressure; callers use this to model that
+// throttle, and the scan of the channel's queue (see channel.inFlight)
+// stops as soon as the threshold is crossed.
+func (m *Memory) InFlight(now uint64, loc Loc, limit int) int {
+	return m.channels[loc.Channel].inFlight(now, limit)
 }
 
 // TraceConflictRun is the per-bank row-switch count threshold at which
@@ -529,7 +533,7 @@ const TraceConflictRun = 16
 func (m *Memory) InFlightTotal(now uint64) int {
 	n := 0
 	for c := range m.channels {
-		n += m.channels[c].inFlight(now)
+		n += m.channels[c].inFlight(now, m.cfg.QueueDepth)
 	}
 	return n
 }

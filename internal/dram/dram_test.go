@@ -258,22 +258,29 @@ func TestBusGapFilling(t *testing.T) {
 
 func TestInFlight(t *testing.T) {
 	m := New(HBMConfig())
+	depth := m.Config().QueueDepth
 	loc := Loc{Channel: 2, Bank: 3, Row: 7}
-	if m.InFlight(0, loc) != 0 {
+	if m.InFlight(0, loc, depth) != 0 {
 		t.Fatal("fresh device has nothing in flight")
 	}
 	var done uint64
 	for i := 0; i < 5; i++ {
 		done = m.Access(0, loc, false, 80)
 	}
-	if n := m.InFlight(0, loc); n != 5 {
+	if n := m.InFlight(0, loc, depth); n != 5 {
 		t.Fatalf("in flight at 0 = %d, want 5", n)
 	}
-	if n := m.InFlight(done, loc); n != 0 {
+	// Past the limit the scan stops and reports limit+1.
+	for limit, want := range []int{1, 2, 3, 4, 5, 5} {
+		if n := m.InFlight(0, loc, limit); n != want {
+			t.Fatalf("in flight at 0 with limit %d = %d, want %d", limit, n, want)
+		}
+	}
+	if n := m.InFlight(done, loc, depth); n != 0 {
 		t.Fatalf("in flight after completion = %d, want 0", n)
 	}
 	// Other channels are independent.
-	if n := m.InFlight(0, Loc{Channel: 0}); n != 0 {
+	if n := m.InFlight(0, Loc{Channel: 0}, depth); n != 0 {
 		t.Fatalf("unused channel reports %d in flight", n)
 	}
 }

@@ -233,7 +233,8 @@ func refInFlight(ch *channel, now uint64) int {
 // contiguous segments, match the modulo scan at arbitrary probe times —
 // including times older than queued completions (the MLP-window
 // replays that make a purely maintained counter impossible) —
-// throughout a random access stream that wraps the ring.
+// throughout a random access stream that wraps the ring; below the
+// count, a limited InFlight reports limit+1.
 func TestQuickInFlightMatchesReference(t *testing.T) {
 	cfg := HBMConfig()
 	cfg.QueueDepth = 8 // small depth: exercises full-queue pops and wrap
@@ -262,8 +263,14 @@ func TestQuickInFlightMatchesReference(t *testing.T) {
 			ch := &m.channels[c]
 			want := refInFlight(ch, probe)
 			wantTotal += want
-			if got := m.InFlight(probe, Loc{Channel: c}); got != want {
+			if got := m.InFlight(probe, Loc{Channel: c}, cfg.QueueDepth); got != want {
 				t.Fatalf("step %d: InFlight(ch%d, %d) = %d, want %d", i, c, probe, got, want)
+			}
+			// A limit below the count stops the scan at limit+1.
+			limit := rng.IntN(cfg.QueueDepth)
+			if got := m.InFlight(probe, Loc{Channel: c}, limit); got != min(want, limit+1) {
+				t.Fatalf("step %d: InFlight(ch%d, %d, limit %d) = %d, want %d",
+					i, c, probe, limit, got, min(want, limit+1))
 			}
 		}
 		if got := m.InFlightTotal(probe); got != wantTotal {

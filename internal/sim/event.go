@@ -65,6 +65,14 @@ func (h *eventHeap) push(e schedEvent) {
 	h.up(len(*h) - 1)
 }
 
+// reschedule moves the top event to when, never earlier than its
+// current time, with one sift-down: a pop-then-push of the dispatched
+// event without the pop's tail swap or the push's append.
+func (h eventHeap) reschedule(when uint64) {
+	h[0].when = when
+	h.down(0)
+}
+
 func (h *eventHeap) pop() schedEvent {
 	old := *h
 	top := old[0]
@@ -144,7 +152,7 @@ func runEvent(st *runState) EventStats {
 
 	now := uint64(0)
 	for len(h) > 0 {
-		ev := h.pop()
+		ev := h[0]
 		if ev.when > now+1 {
 			stats.CyclesSkipped += ev.when - now - 1
 		}
@@ -152,23 +160,23 @@ func runEvent(st *runState) EventStats {
 			now = ev.when
 		}
 		if ev.kind == evEpoch {
-			// A boundary is only due once a core reaches it; the popped
-			// epoch event has when == Boundary(), and every remaining core
-			// event has when >= it, so the next core to run would see it
-			// due. Dispatching it now, before that core, reproduces the
-			// reference's check-boundaries-then-step order exactly.
+			// A boundary is only due once a core reaches it; the epoch
+			// event on top has when == Boundary(), and every core event
+			// has when >= it, so the next core to run would see it due.
+			// Dispatching it now, before that core, reproduces the
+			// reference's check-boundaries-then-step order exactly. A core
+			// is still live (the heap empties when the last one finishes).
 			st.et.record()
 			stats.EpochEvents++
-			if live > 0 {
-				h.push(schedEvent{when: st.et.rec.Boundary(), kind: evEpoch})
-			}
+			h.reschedule(st.et.rec.Boundary())
 			continue
 		}
 		c := ev.c
 		stats.CoreEvents++
 		if st.processRef(c) {
-			h.push(schedEvent{when: c.clock, kind: evCore, c: c})
+			h.reschedule(c.clock)
 		} else {
+			h.pop()
 			live--
 			if live == 0 {
 				// Only the pending epoch event (if any) can remain, and its

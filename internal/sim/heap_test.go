@@ -90,14 +90,19 @@ func TestEventHeapSameCycleOrder(t *testing.T) {
 }
 
 // TestEventHeapPopClearsSlot is the regression test for the heap-slot
-// leak carried over from the retired coreHeap: pop must nil the vacated
-// slot's core pointer so the last-popped *core doesn't stay reachable
-// (pinning the core and everything it references) for as long as the
-// slice's backing array lives.
+// leak carried over from the retired coreHeap. The dispatch loop pops
+// only a core that has finished, and pop must nil the vacated slot's
+// core pointer so that finished *core doesn't stay reachable (pinning
+// the core and everything it references) for as long as the slice's
+// backing array lives. The cores here are rescheduled in place a few
+// times first, as in a run, then finish one by one.
 func TestEventHeapPopClearsSlot(t *testing.T) {
 	h := make(eventHeap, 0, 8)
 	for i := 0; i < 8; i++ {
 		h.push(schedEvent{when: uint64(100 - i), kind: evCore, c: &core{idx: i}})
+	}
+	for i := 0; i < 24; i++ {
+		h.reschedule(h[0].when + uint64(1+i%5))
 	}
 	for len(h) > 0 {
 		h.pop()

@@ -33,9 +33,19 @@ func sameEvent(a, b schedEvent) bool {
 	return a.when == b.when && a.kind == b.kind && a.c == b.c
 }
 
+// reschedule is the naive form of the heap's in-place reschedule: pop
+// the top event, move it to when, push it back. It returns the event
+// that was on top.
+func (n *naiveSched) reschedule(when uint64) schedEvent {
+	e := n.pop()
+	n.push(schedEvent{when: when, kind: e.kind, c: e.c})
+	return e
+}
+
 // TestQuickSchedulerMatchesNaive drives random event streams — pushes
-// interleaved with pops, same-cycle collisions forced by a tiny time
-// range — through both schedulers and requires identical dispatch
+// interleaved with pops and with in-place reschedules of the top event
+// to a later (or the same) time, same-cycle collisions forced by a tiny
+// time range — through both schedulers and requires identical dispatch
 // sequences.
 func TestQuickSchedulerMatchesNaive(t *testing.T) {
 	coresPool := make([]*core, 8)
@@ -46,6 +56,15 @@ func TestQuickSchedulerMatchesNaive(t *testing.T) {
 		var h eventHeap
 		var n naiveSched
 		for _, op := range ops {
+			if op%7 == 1 && len(h) > 0 {
+				when := h[0].when + uint64(op/7%4)
+				top := h[0]
+				h.reschedule(when)
+				if !sameEvent(top, n.reschedule(when)) {
+					return false
+				}
+				continue
+			}
 			if op%3 != 0 && len(h) > 0 {
 				if !sameEvent(h.pop(), n.pop()) {
 					return false
@@ -75,9 +94,9 @@ func TestQuickSchedulerMatchesNaive(t *testing.T) {
 }
 
 // TestQuickWakeupCoalescing models the scheduler's reschedule pattern:
-// each popped core event re-enters at a strictly later wakeup time
-// (issue gap, MLP retire, or DRAM ready-time — all strictly positive
-// delays). The property: dispatch times are globally nondecreasing and
+// each dispatched core event is rescheduled in place to a strictly
+// later wakeup time (issue gap, MLP retire, or DRAM ready-time — all
+// strictly positive delays) until its budget runs out, then popped. The property: dispatch times are globally nondecreasing and
 // every core's own dispatches are strictly increasing, under arbitrary
 // wakeup deltas — including many cores coalescing onto the same cycle.
 func TestQuickWakeupCoalescing(t *testing.T) {
@@ -94,7 +113,7 @@ func TestQuickWakeupCoalescing(t *testing.T) {
 		budget := int(rounds)%64 + 8
 		di := 0
 		for len(h) > 0 {
-			ev := h.pop()
+			ev := h[0]
 			if ev.when < last {
 				return false // global dispatch order went backwards
 			}
@@ -111,8 +130,9 @@ func TestQuickWakeupCoalescing(t *testing.T) {
 					d += uint64(deltas[di]) % 16
 					di++
 				}
-				ev.when += d
-				h.push(ev)
+				h.reschedule(ev.when + d)
+			} else {
+				h.pop()
 			}
 		}
 		return true
@@ -136,7 +156,7 @@ func TestEmptyQueueIdleSkip(t *testing.T) {
 	var skipped, dispatched uint64
 	i := 0
 	for len(h) > 0 {
-		ev := h.pop()
+		ev := h[0]
 		if ev.when > now+1 {
 			skipped += ev.when - now - 1
 		}
@@ -145,8 +165,10 @@ func TestEmptyQueueIdleSkip(t *testing.T) {
 		}
 		dispatched++
 		if i < len(wakeups) {
-			h.push(schedEvent{when: wakeups[i], kind: evCore, c: c})
+			h.reschedule(wakeups[i])
 			i++
+		} else {
+			h.pop()
 		}
 	}
 	if dispatched != uint64(len(wakeups))+1 {
@@ -160,7 +182,7 @@ func TestEmptyQueueIdleSkip(t *testing.T) {
 }
 
 // TestSchedulerRandomSoak cross-checks a longer randomized soak of the
-// full push/pop mix against the naive scheduler, with wider time ranges
+// full push/pop/reschedule mix against the naive scheduler, with wider time ranges
 // than the quick-check's tie-forcing band.
 func TestSchedulerRandomSoak(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -171,6 +193,15 @@ func TestSchedulerRandomSoak(t *testing.T) {
 	var h eventHeap
 	var n naiveSched
 	for i := 0; i < 20_000; i++ {
+		if rng.Intn(4) == 0 && len(h) > 0 {
+			when := h[0].when + uint64(rng.Intn(1<<10))
+			top := h[0]
+			h.reschedule(when)
+			if !sameEvent(top, n.reschedule(when)) {
+				t.Fatalf("step %d: heap and naive scheduler diverged on reschedule", i)
+			}
+			continue
+		}
 		if rng.Intn(3) > 0 && len(h) > 0 {
 			if !sameEvent(h.pop(), n.pop()) {
 				t.Fatalf("step %d: heap and naive scheduler diverged", i)

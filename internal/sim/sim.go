@@ -387,7 +387,7 @@ func (m *machine) prefetch(now uint64, c *core, vline uint64) {
 		return
 	}
 	loc := m.hbm.Decode(pa << 6)
-	if m.hbm.InFlight(now, loc) > m.hbm.Config().QueueDepth/8 {
+	if limit := m.hbm.Config().QueueDepth / 8; m.hbm.InFlight(now, loc, limit) > limit {
 		return
 	}
 	m.accessMemSystem(now, pa, false, false)
