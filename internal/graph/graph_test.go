@@ -1,11 +1,122 @@
 package graph
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"dice/internal/compress"
 )
+
+// neighbors returns the adjacency slice of v.
+func neighbors(g *CSR, v int) []uint32 { return g.Col[g.RowPtr[v]:g.RowPtr[v+1]] }
+
+// sameCSR reports the first difference between got and the reference
+// build want, or "" when N, RowPtr and Col match exactly. got's Col must
+// also retain no capacity beyond its edges.
+func sameCSR(got, want *CSR) string {
+	switch {
+	case got.N != want.N:
+		return fmt.Sprintf("N %d, want %d", got.N, want.N)
+	case !slices.Equal(got.RowPtr, want.RowPtr):
+		return "RowPtr differs"
+	case !slices.Equal(got.Col, want.Col):
+		return fmt.Sprintf("Col differs (len %d, want %d)", len(got.Col), len(want.Col))
+	case cap(got.Col) != len(got.Col):
+		return fmt.Sprintf("Col retains cap %d for %d edges", cap(got.Col), len(got.Col))
+	}
+	return ""
+}
+
+// Property: the linear buildCSR matches the sort-based reference on
+// random edge lists mixing self-loops, duplicate and reversed edges.
+func TestQuickBuildCSRMatchesReference(t *testing.T) {
+	f := func(seed uint64, nRaw, mRaw uint16) bool {
+		n := 1 + int(nRaw)%4096
+		m := int(mRaw) % (4 * n)
+		r := &rng{s: seed}
+		src := make([]uint32, 0, m)
+		dst := make([]uint32, 0, m)
+		for i := 0; i < m; i++ {
+			u, v := uint32(r.intn(n)), uint32(r.intn(n))
+			switch j := r.intn(8); {
+			case j == 0:
+				v = u // self-loop
+			case j == 1 && i > 0: // duplicate an earlier edge
+				k := r.intn(i)
+				u, v = src[k], dst[k]
+			case j == 2 && i > 0: // reverse an earlier edge
+				k := r.intn(i)
+				u, v = dst[k], src[k]
+			}
+			src = append(src, u)
+			dst = append(dst, v)
+		}
+		if d := sameCSR(buildCSR(n, src, dst), refBuildCSR(n, src, dst)); d != "" {
+			t.Logf("n=%d m=%d seed=%d: %s", n, m, seed, d)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 4096} {
+		if d := sameCSR(buildCSR(n, nil, nil), refBuildCSR(n, nil, nil)); d != "" {
+			t.Fatalf("empty edge list, n=%d: %s", n, d)
+		}
+	}
+}
+
+// The generators match their float-draw, sort-based references over a
+// seed x scale grid, byte for byte.
+func TestGeneratorsMatchReference(t *testing.T) {
+	maxScale := 16
+	if testing.Short() {
+		maxScale = 12
+	}
+	for scale := 1; scale <= maxScale; scale++ {
+		for ef := 1; ef <= 9; ef++ {
+			seeds := []uint64{uint64(scale*10 + ef), 1 << 40}
+			if scale > 12 {
+				seeds = seeds[:1]
+			}
+			for _, seed := range seeds {
+				if d := sameCSR(RMAT(scale, ef, seed), refRMAT(scale, ef, seed)); d != "" {
+					t.Fatalf("RMAT(%d, %d, %d): %s", scale, ef, seed, d)
+				}
+			}
+		}
+	}
+	for _, n := range []int{2, 3, 255, 256, 257, 1000, 4096, 30000} {
+		for _, deg := range []int{1, 2, 8} {
+			for _, seed := range []uint64{uint64(n + deg), 99} {
+				if d := sameCSR(Web(n, deg, seed), refWeb(n, deg, seed)); d != "" {
+					t.Fatalf("Web(%d, %d, %d): %s", n, deg, seed, d)
+				}
+			}
+		}
+	}
+}
+
+// RMAT's integer thresholds split k exactly where the float draw
+// k/2^53 crosses each cumulative quadrant probability.
+func TestRMATThresholdsExact(t *testing.T) {
+	unit := func(k uint64) float64 { return float64(k) / (1 << 53) }
+	for _, c := range []struct {
+		k uint64
+		p float64
+	}{
+		{rmatTA, rmatA},
+		{rmatTAB, rmatA + rmatB},
+		{rmatTABC, rmatA + rmatB + rmatC},
+	} {
+		if !(unit(c.k-1) < c.p) || unit(c.k) < c.p {
+			t.Fatalf("threshold %d does not split at p=%v", c.k, c.p)
+		}
+	}
+}
 
 func TestCSRWellFormed(t *testing.T) {
 	for name, g := range map[string]*CSR{
@@ -23,7 +134,7 @@ func TestCSRWellFormed(t *testing.T) {
 				if g.RowPtr[v] > g.RowPtr[v+1] {
 					t.Fatal("RowPtr not monotone")
 				}
-				nbrs := g.Neighbors(v)
+				nbrs := neighbors(g, v)
 				for i, u := range nbrs {
 					if int(u) >= g.N {
 						t.Fatal("neighbor out of range")
@@ -43,9 +154,9 @@ func TestCSRWellFormed(t *testing.T) {
 func TestCSRSymmetric(t *testing.T) {
 	g := RMAT(8, 8, 3)
 	for v := 0; v < g.N; v++ {
-		for _, u := range g.Neighbors(v) {
+		for _, u := range neighbors(g, v) {
 			found := false
-			for _, back := range g.Neighbors(int(u)) {
+			for _, back := range neighbors(g, int(u)) {
 				if int(back) == v {
 					found = true
 					break
@@ -78,7 +189,7 @@ func TestWebLocality(t *testing.T) {
 	g := Web(4096, 8, 9)
 	local, total := 0, 0
 	for v := 0; v < g.N; v++ {
-		for _, u := range g.Neighbors(v) {
+		for _, u := range neighbors(g, v) {
 			total++
 			if v/256 == int(u)/256 {
 				local++
@@ -147,6 +258,20 @@ func TestTraceProducesRequests(t *testing.T) {
 				t.Fatal("kernel performed no writes")
 			}
 		})
+	}
+}
+
+// The request slice retains no more than the kernel recorded: the full
+// budget when it fills, exactly the recorded length when it does not.
+func TestTraceRetainsOnlyRecorded(t *testing.T) {
+	g := RMAT(8, 4, 23)
+	full := Trace(PageRank, g, 5000).Requests()
+	if len(full) != 5000 || cap(full) != 5000 {
+		t.Fatalf("full trace len %d cap %d, want 5000/5000", len(full), cap(full))
+	}
+	short := Trace(ConnectedComponents, g, 1_000_000).Requests()
+	if len(short) == 0 || len(short) >= 1_000_000 || cap(short) != len(short) {
+		t.Fatalf("under-budget trace len %d cap %d", len(short), cap(short))
 	}
 }
 
@@ -242,6 +367,20 @@ func BenchmarkRMAT(b *testing.B) {
 		RMAT(10, 8, uint64(i))
 	}
 }
+
+// BenchmarkBuildCSR builds the CSR of an RMAT edge list at the twitter
+// input's size in the sweep-short workload (scale 15, edge factor 8).
+func BenchmarkBuildCSR(b *testing.B) {
+	src, dst := rmatEdges(15, 8, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		csrSink = buildCSR(1<<15, src, dst)
+	}
+}
+
+// csrSink keeps BenchmarkBuildCSR's result live.
+var csrSink *CSR
 
 func BenchmarkTracePageRank(b *testing.B) {
 	g := RMAT(10, 8, 1)

@@ -44,8 +44,14 @@ const regionAlign = 1 << 20
 
 // NewWorkspace creates a tracer that stops recording after maxReqs
 // references (the kernel keeps running so final data is consistent).
+// The request slice is allocated at the full budget up front, so
+// recording never regrows it.
 func NewWorkspace(maxReqs int) *Workspace {
-	return &Workspace{maxReqs: maxReqs, filter: make([]uint64, 256)}
+	return &Workspace{
+		reqs:    make([]trace.Request, 0, max(maxReqs, 0)),
+		maxReqs: maxReqs,
+		filter:  make([]uint64, 256),
+	}
 }
 
 // Requests returns the recorded reference stream.
@@ -209,6 +215,10 @@ func Trace(k Kernel, g *CSR, maxReqs int) *Workspace {
 		traceBC(w, g)
 	default:
 		panic("graph: unknown kernel")
+	}
+	if len(w.reqs) < cap(w.reqs) {
+		// The kernel finished under budget: keep only what it recorded.
+		w.reqs = append(make([]trace.Request, 0, len(w.reqs)), w.reqs...)
 	}
 	return w
 }
